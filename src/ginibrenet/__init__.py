@@ -3,7 +3,7 @@ wireless networks: exact disk-restricted spectra, determinantal samplers,
 shot-noise interference, large-deviation rate functions and rare-event
 Monte Carlo estimators."""
 
-from .errors import MgfDivergenceError, SamplerStallError
+from .errors import CapExceededError, MgfDivergenceError, SamplerStallError
 from .fading import FADING_KINDS, FadingSpec
 from .interference import (DiskWindow, MarkedPattern, NetworkModel,
                            attenuation, interference, sinr, success_threshold)

@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config
-from .errors import SamplerStallError
-from .estimation import estimate_interference_tail, speed_regression
+from .errors import CapExceededError, SamplerStallError
+from .estimation import fit_slope, grid_estimates
 from .fading import FADING_KINDS, FadingSpec
 from .patterns import RngStream, write_pattern_csv
 from .rates import (LdpRegime, growth_function, poisson_comparison, rate,
@@ -145,21 +145,20 @@ def cmd_estimate(args) -> int:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     est_path = cfg.output_dir / "estimates.csv"
     slope_path = cfg.output_dir / "slope.csv"
-    stream = RngStream(cfg.plan.seed)
     rows = []
     code = 0
     try:
-        for i, x in enumerate(cfg.plan.x_grid):
-            est = estimate_interference_tail(
-                cfg.model, x, cfg.plan.n_reps, cfg.plan.estimator,
-                stream.substream(1000 * (i + 1)), split=cfg.plan.split)
+        estimates = grid_estimates(cfg.model, cfg.plan.x_grid, cfg.plan.n_reps,
+                                   cfg.plan.estimator, RngStream(cfg.plan.seed),
+                                   split=cfg.plan.split)
+        for x, est in zip(cfg.plan.x_grid, estimates):
             rows.append({"x": x, "eps": 1.0, "estimator": est.estimator,
                          "p": est.probability, "stderr": est.stderr,
                          "ci_lo": est.ci95[0], "ci_hi": est.ci95[1],
                          "n_reps": est.n_reps, "seed": cfg.plan.seed})
-        report = speed_regression(cfg.model, cfg.regime, cfg.plan.x_grid,
-                                  cfg.plan.n_reps, cfg.plan.estimator, stream)
-    except (ValueError, SamplerStallError) as exc:
+        # the slope is fitted to exactly the estimates written above
+        report = fit_slope(cfg.regime, cfg.plan.x_grid, [r["p"] for r in rows])
+    except (ValueError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         report = None
         code = 1

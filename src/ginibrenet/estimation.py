@@ -12,6 +12,10 @@ Estimator variants for P(I_Lambda >= x):
                      jump part conditions one mark on the exceedance and is
                      asymptotically calibrated rather than exactly unbiased.
 
+Every replication loop draws only the distances from the receiver to the
+in-window interferers.  A receiver and window both at the origin take the
+Kostlan radial draw; any other geometry takes the DPP projection sampler.
+
 Count tails need no sampling at all: the Poisson-binomial spectrum is exact.
 """
 from __future__ import annotations
@@ -20,17 +24,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, special
 
-from .errors import MgfDivergenceError
+from .errors import CapExceededError
 from .fading import FadingSpec, LIGHT_TAIL_KINDS, SUBEXPONENTIAL_KINDS
-from .interference import MarkedPattern, NetworkModel, attenuation, interference
-from .patterns import PointPattern, RngStream
+from .interference import NetworkModel, _sorted_sum, attenuation
+from .patterns import RngStream
 from .rates import LdpRegime, growth_function, tail_asymptote
 from .samplers import sample_palm_beta_ginibre
-from .spectral import DiskRestriction, log_count_tail, trace_bound
+from .spectral import DiskRestriction, eigenvalues, log_count_tail, trace_bound
 
 ESTIMATORS = ("crude", "tilted", "single_jump")
+TILT_DOUBLINGS = 40  # bracket doublings from 1/max gain: tilts up to ~1e12 / max gain
 
 
 @dataclass
@@ -74,17 +79,51 @@ def _finalize(values: np.ndarray, estimator: str,
         diagnostics=diagnostics)
 
 
-def _sampling_radius(model: NetworkModel) -> float:
-    # palm sampler is origin-centered; inflate to cover an off-center window
-    return abs(model.window.center) + model.window.radius
+def _radial_draw(model: NetworkModel):
+    """Distance draw for a window and a receiver both at the origin.
+
+    By Kostlan's theorem the squared moduli of the reduced-Palm beta-Ginibre
+    points are independent beta * G_m, G_m ~ Gamma(m + 1, 1), m >= 1, each
+    kept with probability beta and cut at the window radius r.  Term m is
+    thus in the window with probability beta kappa_m, kappa_m =
+    P(G_m <= r^2 / beta) the Palm eigenvalue that the DPP sampler truncates
+    by as well.  One uniform u_m per term decides both: the term is present
+    iff u_m < beta kappa_m, and then G_m is the inverse Gamma CDF at
+    u_m / beta, uniform on (0, kappa_m).  The spectrum is fixed once per loop.
+    """
+    beta = model.beta
+    kappa = eigenvalues(DiskRestriction(radius=model.window.radius / math.sqrt(beta),
+                                        palm_shift=True)).values
+    present = beta * kappa
+    shapes = np.arange(2.0, len(kappa) + 2.0)
+
+    def draw(gen: np.random.Generator) -> np.ndarray:
+        u = gen.random(len(kappa))
+        on = u < present
+        return np.sqrt(beta * special.gammaincinv(shapes[on], u[on] / beta))
+    return draw
 
 
-def _pattern(model: NetworkModel, rng_gen: np.random.Generator,
-             radius: float) -> PointPattern:
-    # re-wrap the generator state into a child stream: palm sampler wants a
-    # fresh RngStream, so draw a 63-bit child seed from the running stream
-    child = RngStream(int(rng_gen.integers(1 << 63)), 0)
-    return sample_palm_beta_ginibre(model.beta, radius, child)
+def _dpp_draw(model: NetworkModel):
+    """Distance draw for any other geometry: a reduced-Palm pattern from the
+    projection sampler on the origin-centred disk that covers the window."""
+    radius = abs(model.window.center) + model.window.radius
+
+    def draw(gen: np.random.Generator) -> np.ndarray:
+        # the palm sampler wants a fresh RngStream, so draw a 63-bit child
+        # seed from the running stream
+        child = RngStream(int(gen.integers(1 << 63)), 0)
+        pts = sample_palm_beta_ginibre(model.beta, radius, child).points
+        return np.abs(model.receiver - pts[model.window.contains(pts)])
+    return draw
+
+
+def _distance_draw(model: NetworkModel):
+    """Per-replication sampler of the distances from the receiver to the
+    interferers inside the window: the only thing I_Lambda and the probe's
+    ball counts depend on.  Called once per loop; returns draw(gen)."""
+    centred = model.window.center == 0 and model.receiver == 0
+    return (_radial_draw if centred else _dpp_draw)(model)
 
 
 def _pattern_tilt(fading: FadingSpec, gains: np.ndarray, x: float) -> float:
@@ -108,10 +147,17 @@ def _pattern_tilt(fading: FadingSpec, gains: np.ndarray, x: float) -> float:
             return sum(fading.tilted_mean(theta * g) * g for g in gains) - x
 
         hi = 1.0 / float(gains.max())
-        while gap(hi) < 0.0:
+        doublings = 0
+        while (gap_hi := gap(hi)) < 0.0 and doublings < TILT_DOUBLINGS:
             hi *= 2.0
-            if hi > 1e12:
-                return hi
+            doublings += 1
+        if not gap_hi >= 0.0:  # the cap, or a tilted mean that overflowed
+            raise CapExceededError(
+                "tilt bracket search failed: no tilt reaches the target level",
+                diagnostics={"kind": fading.kind, "x": x, "n_points": len(gains),
+                             "gain_sum": float(gains.sum()),
+                             "gain_max": float(gains.max()), "theta_hi": hi,
+                             "gap_at_theta_hi": gap_hi, "doublings": doublings})
     return float(optimize.brentq(gap, 0.0, hi, xtol=1e-10, rtol=1e-10))
 
 
@@ -140,8 +186,9 @@ def estimate_interference_tail(model: NetworkModel, x: float, n_reps: int,
             f"single_jump estimator needs subexponential or exponential fading, got {kind!r}")
 
     gen = rng.generator()
-    radius = _sampling_radius(model)
-    diagnostics: dict[str, float] = {"stream_mode": 0.0}  # 0 = single stream
+    draw = _distance_draw(model)
+    fading = model.fading
+    diagnostics: dict[str, float] = {}
 
     theta = 0.0
     log_mgf = 0.0
@@ -151,91 +198,71 @@ def estimate_interference_tail(model: NetworkModel, x: float, n_reps: int,
         if theta < 0:
             raise ValueError("tilt must be nonnegative")
         if theta > 0.0:
-            log_mgf = model.fading.log_mgf(theta)
+            log_mgf = fading.log_mgf(theta)
         diagnostics["tilt"] = theta
 
     if estimator == "single_jump":
         s = split if split is not None else model.r_alpha * x / 2.0
         diagnostics["split_threshold"] = s
-        sf_s = float(model.fading.survival(s))
+        sf_s = float(fading.survival(s))
 
     values = np.empty(n_reps)
     for rep in range(n_reps):
-        pat = _pattern(model, gen, radius)
-        n_pts = len(pat.points)
-        inside = model.window.contains(pat.points) if n_pts else np.zeros(0, bool)
-        n_in = int(np.sum(inside))
+        gains = attenuation(draw(gen), model.atten_R, model.atten_alpha)
+        n_in = len(gains)
 
         if estimator == "crude" or (estimator == "tilted" and not auto_tilt
                                     and theta == 0.0):
-            marks = model.fading.sample(n_pts, gen)
-            i_val = interference(MarkedPattern(pat, marks), model)
+            i_val = _sorted_sum(fading.sample(n_in, gen), gains)
             values[rep] = 1.0 if i_val >= x else 0.0
         elif estimator == "tilted" and auto_tilt:
-            if n_in == 0:
-                values[rep] = 0.0
-                continue
-            gains = np.atleast_1d(attenuation(model.receiver - pat.points[inside],
-                                              model.atten_R, model.atten_alpha))
-            if model.fading.kind == "bounded" \
-                    and model.fading.bound * gains.sum() < x:
+            if n_in == 0 or (fading.kind == "bounded"
+                             and fading.bound * gains.sum() < x):
                 values[rep] = 0.0  # event impossible given this pattern
                 continue
-            th = _pattern_tilt(model.fading, gains, x)
+            th = _pattern_tilt(fading, gains, x)
             if th == 0.0:
-                z = model.fading.sample(n_in, gen)
-                i_val = float(math.fsum(np.sort(z * gains)))
+                i_val = _sorted_sum(fading.sample(n_in, gen), gains)
                 values[rep] = 1.0 if i_val >= x else 0.0
                 continue
-            if model.fading.kind == "exponential":
-                c = model.fading.c
+            if fading.kind == "exponential":
+                c = fading.c
                 # base draw z = E/c; the per-mark tilted law is
                 # Exp(c - th L_i), reached by scaling the same variates
-                z = model.fading.sample(n_in, gen) * (c / (c - th * gains))
+                z = fading.sample(n_in, gen) * (c / (c - th * gains))
             else:
-                z = np.array([_tilted_draw(model.fading, th * g, 1, gen)[0]
+                z = np.array([_tilted_draw(fading, th * g, 1, gen)[0]
                               for g in gains])
-            i_val = float(math.fsum(np.sort(z * gains)))
+            i_val = _sorted_sum(z, gains)
             if i_val >= x:
-                logw = float(math.fsum(model.fading.log_mgf(th * g)
+                logw = float(math.fsum(fading.log_mgf(th * g)
                                        for g in gains)) - th * i_val
                 values[rep] = math.exp(logw)
             else:
                 values[rep] = 0.0
         elif estimator == "tilted":
-            # fixed global tilt on the in-window marks only; outside marks do
-            # not touch I_Lambda
-            marks = model.fading.sample(n_pts, gen)
-            if n_in and model.fading.kind == "exponential":
-                c = model.fading.c
-                # reuse the same exponential variates: base draw z = E/c, the
-                # tilted law is Exp(c - theta) so scale by c/(c - theta)
-                marks = np.where(inside, marks * (c / (c - theta)), marks)
-            elif n_in:
-                tilted = _tilted_draw(model.fading, theta, n_in, gen)
-                marks = marks.copy()
-                marks[inside] = tilted
-            i_val = interference(MarkedPattern(pat, marks), model)
+            # fixed global tilt on every in-window mark
+            if fading.kind == "exponential":
+                # base draw z = E/c; the tilted law is Exp(c - theta), reached
+                # by scaling the same variates by c/(c - theta)
+                marks = fading.sample(n_in, gen) * (fading.c / (fading.c - theta))
+            else:
+                marks = _tilted_draw(fading, theta, n_in, gen)
+            i_val = _sorted_sum(marks, gains)
             if i_val >= x:
-                logw = n_in * log_mgf - theta * float(np.sum(marks[inside]))
-                values[rep] = math.exp(logw)
+                values[rep] = math.exp(n_in * log_mgf - theta * float(np.sum(marks)))
             else:
                 values[rep] = 0.0
         else:  # single_jump
-            marks = model.fading.sample(n_pts, gen)
-            i_val = interference(MarkedPattern(pat, marks), model)
-            in_marks = marks[inside]
-            max_in = float(np.max(in_marks)) if n_in else 0.0
+            marks = fading.sample(n_in, gen)
+            i_val = _sorted_sum(marks, gains)
+            max_in = float(np.max(marks)) if n_in else 0.0
             remainder = 1.0 if (i_val >= x and max_in <= s) else 0.0
             jump = 0.0
             if n_in:
                 j = int(gen.integers(n_in))
-                jump_marks = in_marks.copy()
-                jump_marks[j] = model.fading.sample_conditional_exceedance(s, 1, gen)[0]
-                marks2 = marks.copy()
-                marks2[inside] = jump_marks
-                i_jump = interference(MarkedPattern(pat, marks2), model)
-                if i_jump >= x:
+                marks[j] = fading.sample_conditional_exceedance(s, 1, gen)[0]
+                if _sorted_sum(marks, gains) >= x:
                     jump = n_in * sf_s
             values[rep] = remainder + jump
 
@@ -281,22 +308,34 @@ def estimate_count_tail(restriction: DiskRestriction, m: int) -> TailEstimate:
                         diagnostics={"exact_spectral": 1.0})
 
 
-def speed_regression(model: NetworkModel, regime: LdpRegime, x_grid,
-                     n_reps: int, estimator: str, rng: RngStream) -> SlopeReport:
-    """Fit log p-hat(x) against the regime's growth function and compare the
-    slope to the predicted limit constant."""
+def _increasing(x_grid) -> list[float]:
     x_grid = [float(v) for v in x_grid]
     if any(b <= a for a, b in zip(x_grid, x_grid[1:])):
         raise ValueError("x_grid must be strictly increasing")
-    kept_x, log_p, gvals, dropped = [], [], [], []
+    return x_grid
+
+
+def grid_estimates(model: NetworkModel, x_grid, n_reps: int, estimator: str,
+                   rng: RngStream, split: float | None = None):
+    """Yield one estimate per grid point, point i on substream 1000 (i + 1),
+    so a caller keeps the points finished before a failure."""
     for i, x in enumerate(x_grid):
-        est = estimate_interference_tail(model, x, n_reps, estimator,
-                                         rng.substream(1000 * (i + 1)))
-        if est.probability <= 0.0:
+        yield estimate_interference_tail(model, x, n_reps, estimator,
+                                         rng.substream(1000 * (i + 1)),
+                                         split=split)
+
+
+def fit_slope(regime: LdpRegime, x_grid, probabilities) -> SlopeReport:
+    """Fit log p-hat(x) against the regime's growth function and compare the
+    slope to the predicted limit constant; zero estimates are dropped."""
+    x_grid = _increasing(x_grid)
+    kept_x, log_p, gvals, dropped = [], [], [], []
+    for x, p in zip(x_grid, probabilities):
+        if p <= 0.0:
             dropped.append(x)
             continue
         kept_x.append(x)
-        log_p.append(est.log_probability)
+        log_p.append(math.log(p))
         gvals.append(growth_function(regime, x))
     if len(kept_x) < 3:
         raise ValueError(
@@ -311,6 +350,15 @@ def speed_regression(model: NetworkModel, regime: LdpRegime, x_grid,
                        relative_error=float(rel), dropped_points=dropped)
 
 
+def speed_regression(model: NetworkModel, regime: LdpRegime, x_grid,
+                     n_reps: int, estimator: str, rng: RngStream) -> SlopeReport:
+    """Estimate every grid point, then fit the slope (``fit_slope``)."""
+    x_grid = _increasing(x_grid)
+    return fit_slope(regime, x_grid, [
+        est.probability
+        for est in grid_estimates(model, x_grid, n_reps, estimator, rng)])
+
+
 def subexp_sum_ratio(model: NetworkModel, x_grid, n_reps: int,
                      rng: RngStream) -> list[float]:
     """p-hat(sum Z >= x) / (E[N] * survival(x)) per grid point.
@@ -322,7 +370,7 @@ def subexp_sum_ratio(model: NetworkModel, x_grid, n_reps: int,
     if model.fading.kind not in SUBEXPONENTIAL_KINDS:
         raise ValueError("subexp_sum_ratio requires a subexponential fading kind")
     gen = rng.generator()
-    radius = _sampling_radius(model)
+    draw = _distance_draw(model)
     centered = abs(model.window.center) < 1e-12
     if centered:
         e_n = trace_bound(DiskRestriction(radius=model.window.radius,
@@ -333,9 +381,7 @@ def subexp_sum_ratio(model: NetworkModel, x_grid, n_reps: int,
     per_x = np.zeros((len(x_grid), n_reps))
     counts = np.zeros(n_reps)
     for rep in range(n_reps):
-        pat = _pattern(model, gen, radius)
-        inside = model.window.contains(pat.points) if len(pat.points) else np.zeros(0, bool)
-        n_in = int(np.sum(inside))
+        n_in = len(draw(gen))
         counts[rep] = n_in
         base = model.fading.sample(n_in, gen)
         total = float(np.sum(base))
@@ -403,16 +449,16 @@ def dominating_event_probe(model: NetworkModel, x: float, eps: float,
     log_sf = float(model.fading.log_survival(threshold))
 
     gen = rng.generator()
-    radius = _sampling_radius(model)
+    draw = _distance_draw(model)
     hits = np.empty(n_reps)
     ball_ge_n = 0
     ball_ge_1 = 0
     for rep in range(n_reps):
-        pat = _pattern(model, gen, radius)
-        marks = model.fading.sample(len(pat.points), gen)
-        i_val = interference(MarkedPattern(pat, marks), model)
+        dist = draw(gen)
+        i_val = _sorted_sum(model.fading.sample(len(dist), gen),
+                       attenuation(dist, model.atten_R, model.atten_alpha))
         hits[rep] = 1.0 if eps * i_val > x else 0.0
-        n_ball = pat.count_in_disk(model.receiver, r)
+        n_ball = int(np.sum(dist <= r))
         ball_ge_n += n_ball >= block_n
         ball_ge_1 += n_ball >= 1
     p_joint = float(np.mean(hits))

@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate, special
 
-from .errors import MgfDivergenceError
+from .errors import MgfDivergenceError, SamplerStallError
 
 FADING_KINDS = ("bounded", "weibull_super", "exponential", "weibull_sub", "pareto")
+EXCEEDANCE_CAP = 1_000_000  # bounded-kind rejection proposals before giving up
 
 # Kinds with an MGF finite on (at least) a right neighborhood of zero.
 LIGHT_TAIL_KINDS = ("bounded", "weibull_super", "exponential")
@@ -147,11 +148,24 @@ class FadingSpec:
         if self.kind == "bounded":
             if threshold >= self.bound:
                 raise ValueError("threshold at or above the bounded supremum")
-            # rejection against the unconditional law; tail mass is positive
+            # rejection against the unconditional law; the tail mass is
+            # positive but can be too small to reach, hence the cap
             out = np.empty(n)
             filled = 0
+            proposals = 0
             while filled < n:
+                if proposals >= EXCEEDANCE_CAP:
+                    raise SamplerStallError(
+                        "conditional exceedance: rejection loop exceeded the "
+                        "proposal cap",
+                        diagnostics={
+                            "threshold": threshold, "bound": self.bound,
+                            "tail_mass": float(self.survival(threshold)),
+                            "accepted": filled, "target": n,
+                            "proposals": proposals,
+                        })
                 draw = self.sample(max(n - filled, 16), rng)
+                proposals += len(draw)
                 keep = draw[draw > threshold]
                 take = min(len(keep), n - filled)
                 out[filled:filled + take] = keep[:take]

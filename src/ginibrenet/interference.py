@@ -110,8 +110,12 @@ def interference(marked: MarkedPattern, model: NetworkModel) -> float:
     if not np.any(inside):
         return 0.0
     gains = attenuation(model.receiver - pts[inside], model.atten_R, model.atten_alpha)
-    terms = np.sort(marked.marks[inside] * np.atleast_1d(gains))
-    return float(math.fsum(terms))
+    return _sorted_sum(marked.marks[inside], np.atleast_1d(gains))
+
+
+def _sorted_sum(marks: np.ndarray, gains: np.ndarray) -> float:
+    """sum_i marks_i gains_i, sorted and compensated: permutation invariant."""
+    return float(math.fsum(np.sort(marks * gains)))
 
 
 def sinr(z0: float, interference_value: float, model: NetworkModel) -> float:

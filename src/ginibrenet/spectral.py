@@ -30,6 +30,10 @@ DEFAULT_TOL = 1e-12
 # binding truncation at the default tolerance.
 _HARD_CAP_SLOPE = 10
 _HARD_CAP_OFFSET = 64
+# log_count_tail: eigenvalues kept past the tolerance cut (or past m), and the
+# log-eigenvalue level below which gammainc has lost its precision
+_TAIL_MARGIN = 64
+_LOG_UNDERFLOW = math.log(1e-290)
 
 
 @dataclass(frozen=True)
@@ -153,7 +157,10 @@ def log_count_tail(restriction: DiskRestriction, m: int) -> float:
 
     The linear-space convolution underflows around P ~ 1e-300 (already hit at
     m ~ 40 in a unit disk), so the Poisson-binomial recursion runs on
-    log-probabilities with log-scale eigenvalues.
+    log-probabilities with log-scale eigenvalues.  It keeps every eigenvalue
+    above DEFAULT_TOL (the cut of ``eigenvalues``) and _TAIL_MARGIN more past
+    that cut or past m, whichever is later: a deep tail is made of the small
+    eigenvalues beyond the cut.  Counts of m or more share one absorbing cell.
     """
     if m < 0:
         raise ValueError("count threshold must be nonnegative")
@@ -161,16 +168,22 @@ def log_count_tail(restriction: DiskRestriction, m: int) -> float:
         return 0.0
     shift = 1 if restriction.palm_shift else 0
     rsq = restriction.scaled_radius_sq
-    n_eigs = m + 64
-    logb = math.log(restriction.beta)
-    logp = np.array([logb + log_disk_eigenvalue(k + shift, rsq) for k in range(n_eigs)])
-    log1mp = np.log1p(-np.exp(logp))
-    logpmf = np.full(n_eigs + 1, -np.inf)
+    n_eigs = max(len(eigenvalues(restriction)), m) + _TAIL_MARGIN
+    ks = np.arange(shift, n_eigs + shift)
+    with np.errstate(divide="ignore"):
+        logk = np.log(special.gammainc(ks + 1, rsq))
+        deep = logk < _LOG_UNDERFLOW
+        logk[deep] = [log_disk_eigenvalue(k, rsq) for k in ks[deep]]
+        logp = math.log(restriction.beta) + logk
+        log1mp = np.log1p(-np.exp(logp))  # -inf where an eigenvalue is 1
+    logpmf = np.full(m + 1, -np.inf)
     logpmf[0] = 0.0
     for lp, l1mp in zip(logp, log1mp):
-        shifted = np.concatenate(([-np.inf], logpmf[:-1] + lp))
-        logpmf = np.logaddexp(logpmf + l1mp, shifted)
-    return float(special.logsumexp(logpmf[m:]))
+        nxt = logpmf + l1mp
+        nxt[m] = logpmf[m]
+        nxt[1:] = np.logaddexp(nxt[1:], logpmf[:-1] + lp)
+        logpmf = nxt
+    return min(0.0, float(logpmf[m]))  # rounding can lift log 1 above 0
 
 
 def pair_correlation(x1: complex, x2: complex) -> float:

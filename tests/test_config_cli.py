@@ -1,4 +1,6 @@
 """Config parsing and the command-line front-end (exit codes, file formats)."""
+import csv
+import math
 import subprocess
 import sys
 
@@ -143,6 +145,26 @@ class TestCliEstimate:
         assert est[0] == "x,eps,estimator,p,stderr,ci_lo,ci_hi,n_reps,seed"
         assert len(est) == 4
         assert (tmp_path / "out" / "slope.csv").exists()
+
+    def test_slope_fitted_to_the_written_estimates(self, tmp_path):
+        # single_jump depends on [estimation] split: slope.csv must be fitted
+        # to the estimates in estimates.csv, split included
+        cfg = tmp_path / "sj.ini"
+        cfg.write_text(
+            GOOD_CONFIG.replace("kind = exponential\nc = 1.0", "kind = pareto\nc = 2.0")
+            .replace("estimator = tilted", "estimator = single_jump\nsplit = 2.0")
+            .replace("n_reps = 200", "n_reps = 1000")
+            .replace("3.0, 4.0, 5.0", "4.0, 8.0, 16.0")
+            + f"\n[output]\ndirectory = {tmp_path}/out\n")
+        assert main(["estimate", "--config", str(cfg)]) == 0
+        with (tmp_path / "out" / "estimates.csv").open(newline="") as fh:
+            p = {float(row["x"]): float(row["p"]) for row in csv.DictReader(fh)}
+        with (tmp_path / "out" / "slope.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        kept = rows[1:rows.index([])]
+        assert len(kept) == 3
+        for x, log_p, _ in kept:
+            assert float(log_p) == math.log(p[float(x)])
 
     def test_missing_section_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"

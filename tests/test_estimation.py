@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from ginibrenet.estimation import (TailEstimate, dominating_event_probe,
-                                   estimate_count_tail,
+from ginibrenet.errors import CapExceededError
+from ginibrenet.estimation import (TILT_DOUBLINGS, TailEstimate, _pattern_tilt,
+                                   dominating_event_probe, estimate_count_tail,
                                    estimate_interference_tail,
                                    speed_regression, subexp_sum_ratio)
 from ginibrenet.fading import FadingSpec
@@ -98,6 +99,31 @@ class TestEstimatorConsistency:
         with pytest.raises(ValueError):
             TailEstimate(probability=0.5, stderr=0.0, ci95=(0.5, 0.5),
                          n_reps=1, estimator="bogus", log_probability=-0.7)
+
+
+class TestTiltBracket:
+    def test_bracket_cap_raises_with_diagnostics(self):
+        class Saturating:
+            """A tilted mean that climbs towards 1 and never reaches it."""
+            kind = "saturating"
+
+            def mean(self):
+                return 0.5
+
+            def tilted_mean(self, theta):
+                return 1.0 - 0.5 / (1.0 + theta)
+
+        with pytest.raises(CapExceededError, match="bracket") as exc:
+            _pattern_tilt(Saturating(), np.array([1.0, 0.5]), 1.5)
+        assert exc.value.diagnostics["doublings"] == TILT_DOUBLINGS
+        assert exc.value.diagnostics["theta_hi"] >= 2.0 ** TILT_DOUBLINGS
+
+    def test_bounded_level_at_the_supremum_raises(self):
+        # the tilted Beta mean overflows long before it nears B: no bracket
+        fading = FadingSpec(kind="bounded", bound=1.0)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(CapExceededError, match="bracket"):
+            _pattern_tilt(fading, np.array([1.0]), 1.0 - 1e-9)
 
 
 class TestSpeedRegression:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ginibrenet.errors import MgfDivergenceError
+from ginibrenet.errors import MgfDivergenceError, SamplerStallError
 from ginibrenet.fading import FadingSpec
 from ginibrenet.patterns import RngStream
 
@@ -102,6 +102,16 @@ class TestSampling:
         assert np.all((draws > 0.8) & (draws <= 1.0))
         with pytest.raises(ValueError):
             f.sample_conditional_exceedance(1.0, 10, gen())
+
+    def test_conditional_exceedance_bounded_cap(self):
+        # a threshold just below B leaves a tail mass of ~3e-12, out of
+        # reach of the rejection loop: it must stop and say why
+        f = FadingSpec(kind="bounded", bound=1.0)
+        with pytest.raises(SamplerStallError, match="proposal cap") as exc:
+            f.sample_conditional_exceedance(1.0 - 1e-6, 1, gen(10))
+        diag = exc.value.diagnostics
+        assert diag["proposals"] >= 1_000_000 and diag["accepted"] == 0
+        assert 0.0 < diag["tail_mass"] < 1e-11
 
 
 class TestMgf:

@@ -1,0 +1,102 @@
+"""Two-path gate: the Kostlan radial draw against the DPP projection sampler.
+
+A receiver and a window both at the origin take the radial draw; every other
+geometry keeps the DPP sampler.  On a centred r = 2 window the two draws must
+give one law for what the estimators read from them: the interference under
+exponential fading, the in-window count and the count in the probe ball.
+"""
+import numpy as np
+import pytest
+from scipy import stats
+
+from ginibrenet import estimation
+from ginibrenet.estimation import (_dpp_draw, _radial_draw,
+                                   dominating_event_probe,
+                                   estimate_interference_tail)
+from ginibrenet.fading import FadingSpec
+from ginibrenet.interference import DiskWindow, NetworkModel, attenuation
+from ginibrenet.patterns import RngStream
+from ginibrenet.spectral import DiskRestriction, count_distribution
+from ginibrenet.validate import chisquare_vs_pmf, two_sample_count_chisquare
+
+# the radial draw costs ~1/50 of a DPP draw, so it gets ten times the reps
+RADIAL_REPS = 40_000
+DPP_REPS = 4000
+LEVEL = 0.01
+
+
+def model(beta=1.0, window=DiskWindow(radius=2.0), receiver=0j):
+    return NetworkModel(beta=beta, window=window, receiver=receiver,
+                        atten_R=1.0, atten_alpha=4.0,
+                        fading=FadingSpec(kind="exponential", c=1.0))
+
+
+def distances(make_draw, m, seed, n_reps):
+    draw = make_draw(m)
+    gen = RngStream(seed).generator()
+    return [draw(gen) for _ in range(n_reps)]
+
+
+def interference_sample(dists, m, seed):
+    gen = RngStream(seed).generator()
+    return np.array([float(np.sum(m.fading.sample(len(d), gen)
+                                  * attenuation(d, m.atten_R, m.atten_alpha)))
+                     for d in dists])
+
+
+@pytest.fixture(scope="module", params=[1.0, 0.25], ids=["beta1", "beta0.25"])
+def paths(request):
+    beta = request.param
+    m = model(beta)
+    return (m, distances(_radial_draw, m, 9101, RADIAL_REPS),
+            distances(_dpp_draw, m, 9102, DPP_REPS))
+
+
+def test_interference_laws_agree(paths):
+    m, radial, dpp = paths
+    res = stats.ks_2samp(interference_sample(radial, m, 9103),
+                         interference_sample(dpp, m, 9104))
+    assert res.pvalue > LEVEL
+
+
+def test_window_counts_agree(paths):
+    _, radial, dpp = paths
+    p = two_sample_count_chisquare(np.array([len(d) for d in radial]),
+                                   np.array([len(d) for d in dpp]))
+    assert p > LEVEL
+
+
+def test_probe_ball_counts_agree(paths):
+    m, radial, dpp = paths
+    r = dominating_event_probe(m, 1.0, 1.0, RngStream(0), n_reps=2).ball_radius
+    p = two_sample_count_chisquare(np.array([np.sum(d <= r) for d in radial]),
+                                   np.array([np.sum(d <= r) for d in dpp]))
+    assert p > LEVEL
+
+
+def test_radial_counts_follow_exact_law(paths):
+    m, radial, _ = paths
+    counts = np.array([len(d) for d in radial])
+    pmf = count_distribution(DiskRestriction(radius=2.0, beta=m.beta,
+                                             palm_shift=True),
+                             int(counts.max()) + 10)
+    assert chisquare_vs_pmf(counts, pmf) > LEVEL
+
+
+@pytest.mark.parametrize("geometry, dpp_calls", [
+    ({}, 0),
+    ({"receiver": 0.5 + 0.2j}, 20),
+    ({"window": DiskWindow(center=0.3 - 0.1j, radius=2.0)}, 20),
+])
+def test_only_centred_geometry_skips_the_dpp_sampler(monkeypatch, geometry,
+                                                     dpp_calls):
+    calls = []
+    sampler = estimation.sample_palm_beta_ginibre
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sampler(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "sample_palm_beta_ginibre", counted)
+    estimate_interference_tail(model(**geometry), 1.0, 20, "crude", RngStream(5))
+    assert len(calls) == dpp_calls

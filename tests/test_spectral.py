@@ -104,6 +104,29 @@ class TestCountDistribution:
         assert log_count_tail(restriction, 40) == pytest.approx(
             -1934.2095785222082, rel=1e-9)
 
+    def test_log_tail_thinned_large_windows(self):
+        # these windows need far more than m eigenvalues: r^2 / beta is 1000
+        # and 90, above m
+        assert log_count_tail(DiskRestriction(radius=10.0, beta=0.1), 130) \
+            == pytest.approx(-6.603363518907, abs=1e-9)
+        assert log_count_tail(DiskRestriction(radius=3.0, beta=0.1), 15) \
+            == pytest.approx(-3.388335962050, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(radius=st.floats(0.5, 12.0), beta=st.floats(0.05, 1.0, exclude_min=True),
+           palm=st.booleans(), depth=st.floats(0.0, 1.0))
+    def test_log_tail_matches_linear_convolution(self, radius, beta, palm, depth):
+        restriction = DiskRestriction(radius=radius, beta=beta, palm_shift=palm)
+        # m from 1 to ten standard deviations past the mean count
+        m = 1 + int(depth * (radius ** 2 + 10.0 * radius + 10.0))
+        # reference spectrum cut far below the default tolerance, so that it
+        # holds every eigenvalue a deep tail is made of
+        pmf = count_distribution(restriction, 40_000, tol=1e-300)
+        linear = float(pmf[m:].sum())
+        if linear > 1e-250:
+            assert log_count_tail(restriction, m) == pytest.approx(
+                math.log(linear), rel=1e-9, abs=1e-12)
+
     def test_tail_trivial_cases(self):
         restriction = DiskRestriction(radius=1.0)
         assert log_count_tail(restriction, 0) == 0.0
