@@ -3,8 +3,7 @@ and execute the validation suite.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.  The environment
 variable GINIBRENET_SEED supplies a fallback seed when --seed is absent.
-Every command is deterministic given its seed; --threads 1 (the default and
-only supported value) guarantees bit-exact reproduction.
+Every command is deterministic given its seed.
 """
 from __future__ import annotations
 
@@ -18,7 +17,7 @@ from .config import ConfigError, load_config
 from .errors import CapExceededError, SamplerStallError
 from .estimation import fit_slope, grid_estimates
 from .fading import FADING_KINDS, FadingSpec
-from .patterns import RngStream, write_pattern_csv
+from .patterns import RngStream, pattern_csv_text, write_pattern_csv
 from .rates import (LdpRegime, growth_function, poisson_comparison, rate,
                     speed, tail_asymptote)
 from .samplers import (sample_beta_ginibre, sample_ginibre_disk,
@@ -43,8 +42,6 @@ def _resolve_seed(args) -> int:
 def _add_seed(parser):
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed (fallback: GINIBRENET_SEED, then 0)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker count; only 1 (bit-exact mode) is supported")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,10 +119,7 @@ def cmd_sample(args) -> int:
         print(f"error: {exc} {exc.diagnostics}", file=sys.stderr)
         return 1
     if args.out is None:
-        sys.stdout.write(f"# process={pat.process_kind} beta={pat.beta!r} "
-                         f"radius={pat.window_radius!r} seed={pat.seed}\nx,y\n")
-        for p in pat.points:
-            sys.stdout.write(f"{p.real:.17g},{p.imag:.17g}\n")
+        sys.stdout.write(pattern_csv_text(pat))
     else:
         write_pattern_csv(pat, args.out)
         print(f"wrote {len(pat)} points to {args.out}")
@@ -228,10 +222,6 @@ def cmd_validate(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) not in (None, 1):
-        print("error: only --threads 1 (bit-exact single-stream mode) is "
-              "supported", file=sys.stderr)
-        return 2
     handler = {"sample": cmd_sample, "estimate": cmd_estimate,
                "rates": cmd_rates, "validate": cmd_validate}[args.command]
     return handler(args)

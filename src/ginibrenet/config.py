@@ -9,7 +9,7 @@ Format: one ``key = value`` per line under ``[section]`` headers.  Sections:
 * ``noise``        -- w
 * ``threshold``    -- tau
 * ``estimation``   -- estimator, n_reps, x_grid, seed, optional split
-* ``output``       -- directory, formats
+* ``output``       -- directory
 
 Errors carry the file path plus the section/key and, when the line exists,
 its line number.
@@ -17,7 +17,7 @@ its line number.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .fading import FADING_KINDS, FadingSpec
@@ -36,7 +36,7 @@ DEFAULTS = {
     "noise": {"w": "1.0"},
     "threshold": {"tau": "1.0"},
     "estimation": {"estimator": "crude", "n_reps": "1000", "seed": "0"},
-    "output": {"directory": ".", "formats": "csv"},
+    "output": {"directory": "."},
 }
 
 _FADING_FIELDS = {
@@ -63,7 +63,6 @@ class ExperimentConfig:
     regime: LdpRegime
     plan: EstimationPlan
     output_dir: Path
-    formats: list[str] = field(default_factory=lambda: ["csv"])
     path: Path | None = None
 
 
@@ -197,7 +196,6 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
     plan = EstimationPlan(estimator=estimator, n_reps=n_reps, x_grid=x_grid,
                           seed=seed, split=split)
     regime = LdpRegime.from_fading(fading, model.atten_R, model.atten_alpha)
-    formats = rd.get("output", "formats").replace(",", " ").split()
     return ExperimentConfig(model=model, regime=regime, plan=plan,
                             output_dir=Path(rd.get("output", "directory")),
-                            formats=formats, path=path)
+                            path=path)

@@ -4,17 +4,25 @@ Estimator variants for P(I_Lambda >= x):
 
 * ``crude``       -- plain indicator averaging.
 * ``tilted``      -- fading marks drawn from the exponentially tilted law and
-                     reweighted by the likelihood ratio; the tilt solves the
-                     mean-shift equation so the tilted mean of R^(-alpha)
-                     sum(Z) matches the target level.  Marks only are tilted,
-                     never point positions.
+                     reweighted by the likelihood ratio; per pattern, the tilt
+                     solves the mean-shift equation so the tilted mean of
+                     sum(L_i Z_i) matches the target level.  Marks only are
+                     tilted, never point positions.
 * ``single_jump`` -- splits on the largest mark exceeding a threshold; the
                      jump part conditions one mark on the exceedance and is
                      asymptotically calibrated rather than exactly unbiased.
 
-Every replication loop draws only the distances from the receiver to the
-in-window interferers.  A receiver and window both at the origin take the
-Kostlan radial draw; any other geometry takes the DPP projection sampler.
+One loop, ``_replicate``, runs the replications of every estimator here.  Per
+replication it draws the distances from the receiver to the in-window
+interferers (the Kostlan radial draw when receiver and window are both at
+the origin, the DPP projection sampler otherwise), and an evaluator turns
+them into a value or a row:
+
+* ``_crude`` and ``_tilted`` -- one tail indicator or weight at level x;
+* ``_single_jump`` -- one value per (x, split) pair: one pair for
+  ``estimate_interference_tail``, a grid with unit gains and split x / 2
+  for ``subexp_sum_ratio``;
+* ``dominating_event_probe``'s evaluator -- a (hit, ball count) row.
 
 Count tails need no sampling at all: the Poisson-binomial spectrum is exact.
 """
@@ -30,7 +38,7 @@ from .errors import CapExceededError
 from .fading import FadingSpec, LIGHT_TAIL_KINDS, SUBEXPONENTIAL_KINDS
 from .interference import NetworkModel, _sorted_sum, attenuation
 from .patterns import RngStream
-from .rates import LdpRegime, growth_function, tail_asymptote
+from .rates import LdpRegime, growth_function, proof_constants, tail_asymptote
 from .samplers import sample_palm_beta_ginibre
 from .spectral import DiskRestriction, eigenvalues, log_count_tail, trace_bound
 
@@ -161,17 +169,86 @@ def _pattern_tilt(fading: FadingSpec, gains: np.ndarray, x: float) -> float:
     return float(optimize.brentq(gap, 0.0, hi, xtol=1e-10, rtol=1e-10))
 
 
+def _crude(model: NetworkModel, x: float):
+    """Evaluator of 1{I >= x}."""
+    def evaluate(dist, gen):
+        gains = attenuation(dist, model.atten_R, model.atten_alpha)
+        return 1.0 if _sorted_sum(model.fading.sample(len(gains), gen), gains) >= x else 0.0
+    return evaluate
+
+
+def _tilted(model: NetworkModel, x: float):
+    """Evaluator of the likelihood-ratio-weighted 1{I >= x}, marks tilted at
+    the per-pattern tilt times their own gains (``_pattern_tilt``)."""
+    fading = model.fading
+    crude = _crude(model, x)
+
+    def evaluate(dist, gen):
+        gains = attenuation(dist, model.atten_R, model.atten_alpha)
+        n_in = len(gains)
+        if n_in == 0 or (fading.kind == "bounded" and fading.bound * gains.sum() < x):
+            return 0.0  # event impossible given this pattern
+        th = _pattern_tilt(fading, gains, x)
+        if th == 0.0:
+            return crude(dist, gen)
+        if fading.kind == "exponential":
+            # base draw z = E/c; the per-mark tilted law is Exp(c - th L_i),
+            # reached by scaling the same variates
+            z = fading.sample(n_in, gen) * (fading.c / (fading.c - th * gains))
+        else:
+            z = np.array([_tilted_draw(fading, th * g, gen) for g in gains])
+        i_val = _sorted_sum(z, gains)
+        if i_val < x:
+            return 0.0
+        return math.exp(math.fsum(fading.log_mgf(th * g) for g in gains) - th * i_val)
+    return evaluate
+
+
+def _single_jump(fading: FadingSpec, points, gains_of):
+    """Evaluator of the single-jump estimator at every (x, split) pair in
+    ``points``, returning one value per pair.
+
+    Given the pattern, remainder 1{I >= x, max mark <= split} plus the jump
+    part n P(Z > split) 1{I >= x after mark j is redrawn beyond split}; j is
+    chosen once per replication and shared by every pair.
+    """
+    sf = [float(fading.survival(s)) for _, s in points]
+
+    def evaluate(dist, gen):
+        gains = gains_of(dist)
+        n_in = len(gains)
+        marks = fading.sample(n_in, gen)
+        i_val = _sorted_sum(marks, gains)
+        max_in = float(np.max(marks)) if n_in else 0.0
+        j = int(gen.integers(n_in)) if n_in else 0
+        row = np.empty(len(points))
+        for k, ((x, s), sf_s) in enumerate(zip(points, sf)):
+            row[k] = 1.0 if (i_val >= x and max_in <= s) else 0.0
+            if n_in:
+                jumped = marks.copy()
+                jumped[j] = fading.sample_conditional_exceedance(s, 1, gen)[0]
+                if _sorted_sum(jumped, gains) >= x:
+                    row[k] += n_in * sf_s
+        return row
+    return evaluate
+
+
+def _replicate(model: NetworkModel, n_reps: int, rng: RngStream, evaluate) -> np.ndarray:
+    """The replication loop of every estimator: one generator from ``rng``,
+    one distance draw per replication, and ``evaluate(dist, gen)``'s value
+    or row for it, stacked into an array."""
+    gen = rng.generator()
+    draw = _distance_draw(model)
+    return np.array([evaluate(draw(gen), gen) for _ in range(n_reps)])
+
+
 def estimate_interference_tail(model: NetworkModel, x: float, n_reps: int,
                                estimator: str, rng: RngStream,
-                               split: float | None = None,
-                               tilt: float | None = None) -> TailEstimate:
+                               split: float | None = None) -> TailEstimate:
     """Estimate P(I_Lambda >= x) with the requested estimator variant.
 
-    ``tilt`` controls the tilted variant: None picks a per-pattern tilt
-    scaled by each point's attenuation gain (the default, variance-optimal
-    at the mean-shift level); an explicit number applies that fixed tilt
-    uniformly to every in-window mark, with 0 reducing bit-identically to
-    the crude estimator.
+    ``split`` is the single-jump threshold on a mark, R^alpha x / 2 unless
+    given.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
@@ -185,87 +262,18 @@ def estimate_interference_tail(model: NetworkModel, x: float, n_reps: int,
         raise ValueError(
             f"single_jump estimator needs subexponential or exponential fading, got {kind!r}")
 
-    gen = rng.generator()
-    draw = _distance_draw(model)
-    fading = model.fading
     diagnostics: dict[str, float] = {}
-
-    theta = 0.0
-    log_mgf = 0.0
-    auto_tilt = estimator == "tilted" and tilt is None
-    if estimator == "tilted" and not auto_tilt:
-        theta = float(tilt)
-        if theta < 0:
-            raise ValueError("tilt must be nonnegative")
-        if theta > 0.0:
-            log_mgf = fading.log_mgf(theta)
-        diagnostics["tilt"] = theta
-
-    if estimator == "single_jump":
+    if estimator == "crude":
+        evaluate = _crude(model, x)
+    elif estimator == "tilted":
+        evaluate = _tilted(model, x)
+    else:
         s = split if split is not None else model.r_alpha * x / 2.0
         diagnostics["split_threshold"] = s
-        sf_s = float(fading.survival(s))
-
-    values = np.empty(n_reps)
-    for rep in range(n_reps):
-        gains = attenuation(draw(gen), model.atten_R, model.atten_alpha)
-        n_in = len(gains)
-
-        if estimator == "crude" or (estimator == "tilted" and not auto_tilt
-                                    and theta == 0.0):
-            i_val = _sorted_sum(fading.sample(n_in, gen), gains)
-            values[rep] = 1.0 if i_val >= x else 0.0
-        elif estimator == "tilted" and auto_tilt:
-            if n_in == 0 or (fading.kind == "bounded"
-                             and fading.bound * gains.sum() < x):
-                values[rep] = 0.0  # event impossible given this pattern
-                continue
-            th = _pattern_tilt(fading, gains, x)
-            if th == 0.0:
-                i_val = _sorted_sum(fading.sample(n_in, gen), gains)
-                values[rep] = 1.0 if i_val >= x else 0.0
-                continue
-            if fading.kind == "exponential":
-                c = fading.c
-                # base draw z = E/c; the per-mark tilted law is
-                # Exp(c - th L_i), reached by scaling the same variates
-                z = fading.sample(n_in, gen) * (c / (c - th * gains))
-            else:
-                z = np.array([_tilted_draw(fading, th * g, 1, gen)[0]
-                              for g in gains])
-            i_val = _sorted_sum(z, gains)
-            if i_val >= x:
-                logw = float(math.fsum(fading.log_mgf(th * g)
-                                       for g in gains)) - th * i_val
-                values[rep] = math.exp(logw)
-            else:
-                values[rep] = 0.0
-        elif estimator == "tilted":
-            # fixed global tilt on every in-window mark
-            if fading.kind == "exponential":
-                # base draw z = E/c; the tilted law is Exp(c - theta), reached
-                # by scaling the same variates by c/(c - theta)
-                marks = fading.sample(n_in, gen) * (fading.c / (fading.c - theta))
-            else:
-                marks = _tilted_draw(fading, theta, n_in, gen)
-            i_val = _sorted_sum(marks, gains)
-            if i_val >= x:
-                values[rep] = math.exp(n_in * log_mgf - theta * float(np.sum(marks)))
-            else:
-                values[rep] = 0.0
-        else:  # single_jump
-            marks = fading.sample(n_in, gen)
-            i_val = _sorted_sum(marks, gains)
-            max_in = float(np.max(marks)) if n_in else 0.0
-            remainder = 1.0 if (i_val >= x and max_in <= s) else 0.0
-            jump = 0.0
-            if n_in:
-                j = int(gen.integers(n_in))
-                marks[j] = fading.sample_conditional_exceedance(s, 1, gen)[0]
-                if _sorted_sum(marks, gains) >= x:
-                    jump = n_in * sf_s
-            values[rep] = remainder + jump
-
+        evaluate = _single_jump(model.fading, [(x, s)],
+                                lambda d: attenuation(d, model.atten_R, model.atten_alpha))
+    # a single-jump row holds the one (x, split) pair
+    values = _replicate(model, n_reps, rng, evaluate).reshape(n_reps)
     est = _finalize(values, estimator, diagnostics)
     if estimator == "tilted" and est.probability > 0:
         w = values[values > 0]
@@ -273,12 +281,9 @@ def estimate_interference_tail(model: NetworkModel, x: float, n_reps: int,
     return est
 
 
-def _tilted_draw(fading: FadingSpec, theta: float, n: int,
-                 gen: np.random.Generator) -> np.ndarray:
-    """Draws from the exact tilted law for kinds with tractable structure,
-    otherwise via a fine inverse-CDF grid of the tilted density."""
-    if fading.kind == "exponential":
-        return -np.log1p(-gen.random(n)) / (fading.c - theta)
+def _tilted_draw(fading: FadingSpec, theta: float, gen: np.random.Generator) -> float:
+    """One draw from the tilted law of a bounded or ``weibull_super`` mark,
+    via a fine inverse-CDF grid of the tilted density."""
     if fading.kind == "bounded":
         hi = fading.bound
     else:  # weibull_super: truncate far beyond the tilted bulk
@@ -290,11 +295,10 @@ def _tilted_draw(fading: FadingSpec, theta: float, n: int,
     w = np.exp(logd)
     cdf = np.concatenate(([0.0], np.cumsum(w)))
     cdf /= cdf[-1]
-    u = gen.random(n)
-    idx = np.searchsorted(cdf, u, side="right") - 1
-    idx = np.clip(idx, 0, len(mid) - 1)
-    frac = (u - cdf[idx]) / np.maximum(cdf[idx + 1] - cdf[idx], 1e-300)
-    return grid[idx] + frac * (grid[idx + 1] - grid[idx])
+    u = gen.random()
+    idx = int(np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, len(mid) - 1))
+    frac = (u - cdf[idx]) / max(cdf[idx + 1] - cdf[idx], 1e-300)
+    return float(grid[idx] + frac * (grid[idx + 1] - grid[idx]))
 
 
 def estimate_count_tail(restriction: DiskRestriction, m: int) -> TailEstimate:
@@ -363,48 +367,26 @@ def subexp_sum_ratio(model: NetworkModel, x_grid, n_reps: int,
                      rng: RngStream) -> list[float]:
     """p-hat(sum Z >= x) / (E[N] * survival(x)) per grid point.
 
-    The single-big-jump principle predicts the ratio tends to 1.  E[N] comes
-    from the exact Palm trace for origin-centered windows and from the
-    empirical mean otherwise.
+    p-hat is the single-jump estimate with unit gains and split x / 2, every
+    grid point on the same replications.  The single-big-jump principle
+    predicts the ratio tends to 1.  E[N] comes from the exact Palm trace for
+    origin-centered windows and from the empirical mean otherwise.
     """
     if model.fading.kind not in SUBEXPONENTIAL_KINDS:
         raise ValueError("subexp_sum_ratio requires a subexponential fading kind")
-    gen = rng.generator()
-    draw = _distance_draw(model)
-    centered = abs(model.window.center) < 1e-12
-    if centered:
+    x_grid = [float(v) for v in x_grid]
+    jump = _single_jump(model.fading, [(x, x / 2.0) for x in x_grid], np.ones_like)
+    rows = _replicate(model, n_reps, rng,
+                      lambda dist, gen: (len(dist), *jump(dist, gen)))
+    if abs(model.window.center) < 1e-12:
         e_n = trace_bound(DiskRestriction(radius=model.window.radius,
                                           beta=model.beta, palm_shift=True))
     else:
-        e_n = None  # filled from the simulation below
-    x_grid = [float(v) for v in x_grid]
-    per_x = np.zeros((len(x_grid), n_reps))
-    counts = np.zeros(n_reps)
-    for rep in range(n_reps):
-        n_in = len(draw(gen))
-        counts[rep] = n_in
-        base = model.fading.sample(n_in, gen)
-        total = float(np.sum(base))
-        j = int(gen.integers(n_in)) if n_in else 0
-        for gi, x in enumerate(x_grid):
-            s = x / 2.0
-            sf_s = float(model.fading.survival(s))
-            remainder = 1.0 if (total >= x and (n_in == 0 or base.max() <= s)) else 0.0
-            jump = 0.0
-            if n_in:
-                zstar = model.fading.sample_conditional_exceedance(s, 1, gen)[0]
-                if total - base[j] + zstar >= x:
-                    jump = n_in * sf_s
-            per_x[gi, rep] = remainder + jump
-    if e_n is None:
-        e_n = float(np.mean(counts))
+        e_n = float(np.mean(rows[:, 0]))
     if e_n <= 0:
         raise ValueError("expected in-window count is zero; empty window")
-    out = []
-    for gi, x in enumerate(x_grid):
-        p = float(np.mean(per_x[gi]))
-        out.append(p / (e_n * float(model.fading.survival(x))))
-    return out
+    return [float(np.mean(rows[:, k + 1])) / (e_n * float(model.fading.survival(x)))
+            for k, x in enumerate(x_grid)]
 
 
 @dataclass
@@ -438,35 +420,24 @@ def dominating_event_probe(model: NetworkModel, x: float, eps: float,
             # pick n so the per-mark threshold sits at (1 - delta) B
             block_n = int(model.r_alpha * x / ((1.0 - bounded_delta) * model.fading.bound * eps)) + 1
         elif kind == "weibull_super":
-            from .rates import LdpRegime, proof_constants
             regime = LdpRegime.from_fading(model.fading, model.atten_R, model.atten_alpha)
             block_n = max(1, proof_constants(regime, x, eps).block_n)
         else:
             block_n = 1
     if block_n < 1:
         raise ValueError("block size must be at least 1")
-    threshold = model.r_alpha * x / (block_n * eps)
-    log_sf = float(model.fading.log_survival(threshold))
+    log_sf_block = float(model.fading.log_survival(model.r_alpha * x / (block_n * eps)))
+    log_sf_single = float(model.fading.log_survival(model.r_alpha * x / eps))
 
-    gen = rng.generator()
-    draw = _distance_draw(model)
-    hits = np.empty(n_reps)
-    ball_ge_n = 0
-    ball_ge_1 = 0
-    for rep in range(n_reps):
-        dist = draw(gen)
+    def evaluate(dist, gen):
         i_val = _sorted_sum(model.fading.sample(len(dist), gen),
-                       attenuation(dist, model.atten_R, model.atten_alpha))
-        hits[rep] = 1.0 if eps * i_val > x else 0.0
-        n_ball = int(np.sum(dist <= r))
-        ball_ge_n += n_ball >= block_n
-        ball_ge_1 += n_ball >= 1
-    p_joint = float(np.mean(hits))
-    se = float(np.std(hits, ddof=1) / math.sqrt(n_reps))
-    p_block = (ball_ge_n / n_reps) * math.exp(block_n * log_sf)
-    p_single = (ball_ge_1 / n_reps) * math.exp(float(model.fading.log_survival(
-        model.r_alpha * x / eps)))
-    return DominatingEventProbe(p_joint=p_joint, p_joint_stderr=se,
-                                p_block=p_block, p_single=p_single,
-                                block_n=block_n, ball_radius=r)
+                            attenuation(dist, model.atten_R, model.atten_alpha))
+        return eps * i_val > x, np.count_nonzero(dist <= r)
 
+    hits, balls = _replicate(model, n_reps, rng, evaluate).T
+    return DominatingEventProbe(
+        p_joint=float(np.mean(hits)),
+        p_joint_stderr=float(np.std(hits, ddof=1) / math.sqrt(n_reps)),
+        p_block=float(np.mean(balls >= block_n)) * math.exp(block_n * log_sf_block),
+        p_single=float(np.mean(balls >= 1)) * math.exp(log_sf_single),
+        block_n=block_n, ball_radius=r)

@@ -11,7 +11,7 @@ Five families are supported:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
@@ -184,8 +184,9 @@ class FadingSpec:
         if theta == 0:
             return 0.0
         if self.kind == "bounded":
-            return float(np.log(special.hyp1f1(self.beta_a, self.beta_a + self.beta_b,
-                                               theta * self.bound)))
+            # Kummer: M(a, s, t) = e^t M(b, s, -t), finite for every t
+            t = theta * self.bound
+            return t + math.log(special.hyp1f1(self.beta_b, self.beta_a + self.beta_b, -t))
         if self.kind == "exponential":
             if theta >= self.c:
                 raise MgfDivergenceError(
@@ -208,9 +209,11 @@ class FadingSpec:
             self.log_mgf(theta)  # divergence check
             return 1.0 / (self.c - theta)
         if self.kind == "bounded":
+            # B a/s M(a+1, s+1, t) / M(a, s, t); Kummer's e^t factors cancel
             s = self.beta_a + self.beta_b
-            num = self.beta_a / s * special.hyp1f1(self.beta_a + 1, s + 1, theta * self.bound)
-            den = special.hyp1f1(self.beta_a, s, theta * self.bound)
+            t = theta * self.bound
+            num = self.beta_a / s * special.hyp1f1(self.beta_b, s + 1, -t)
+            den = special.hyp1f1(self.beta_b, s, -t)
             return float(self.bound * num / den)
         if self.kind == "weibull_super":
             lm0 = self._weibull_log_mgf_moment(theta, order=0)

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +57,7 @@ _HEADER_RE = re.compile(
     r"#\s*process=(?P<kind>\S+)\s+beta=(?P<beta>\S+)\s+radius=(?P<radius>\S+)\s+seed=(?P<seed>\S+)")
 
 
-def write_pattern_csv(pattern: PointPattern, path: str | Path) -> None:
+def pattern_csv_text(pattern: PointPattern) -> str:
     """CSV with a provenance comment line, then an x,y header and one row per point.
 
     Coordinates are written with 17 significant digits so a read-back is
@@ -69,7 +69,12 @@ def write_pattern_csv(pattern: PointPattern, path: str | Path) -> None:
         "x,y",
     ]
     lines += [f"{p.real:.17g},{p.imag:.17g}" for p in pattern.points]
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_pattern_csv(pattern: PointPattern, path: str | Path) -> None:
+    """Write ``pattern_csv_text(pattern)`` to ``path``."""
+    Path(path).write_text(pattern_csv_text(pattern))
 
 
 def read_pattern_csv(path: str | Path) -> PointPattern:

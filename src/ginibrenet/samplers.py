@@ -159,14 +159,6 @@ def sample_poisson(window_radius: float, intensity: float, rng: RngStream) -> Po
                         beta=1.0, seed=rng.master_seed)
 
 
-def sample_poisson_rect(width: float, height: float, intensity: float,
-                        rng: RngStream) -> np.ndarray:
-    """Poisson points on [0, width] x [0, height]; convenience, returns raw positions."""
-    gen = rng.generator()
-    n = gen.poisson(intensity * width * height)
-    return gen.random(n) * width + 1j * gen.random(n) * height
-
-
 @dataclass
 class KostlanReport:
     radius: float

@@ -77,6 +77,12 @@ class TestConfig:
         p.write_text(GOOD_CONFIG)
         assert load_config(p, seed_override=99).plan.seed == 99
 
+    def test_old_output_formats_key_still_loads(self, tmp_path):
+        # [output] formats is no longer read; configs that set it still load
+        p = tmp_path / "exp.ini"
+        p.write_text(GOOD_CONFIG + f"\n[output]\ndirectory = {tmp_path}\nformats = csv\n")
+        assert load_config(p).output_dir == tmp_path
+
 
 class TestCliSample:
     def test_sample_writes_readable_csv(self, tmp_path):
@@ -94,6 +100,15 @@ class TestCliSample:
             main(["sample", "--process", "beta-ginibre", "--beta", "0.25",
                   "--radius", "3", "--seed", "11", "--out", str(path)])
         assert a.read_text() == b.read_text()
+
+    def test_stdout_matches_out_file(self, tmp_path, capsys):
+        out = tmp_path / "pat.csv"
+        args = ["sample", "--process", "palm", "--beta", "0.5", "--radius", "3",
+                "--seed", "13"]
+        assert main(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         out = tmp_path / "pat.csv"
@@ -176,11 +191,6 @@ class TestCliEstimate:
         cfg = tmp_path / "short.ini"
         cfg.write_text(GOOD_CONFIG.replace("3.0, 4.0, 5.0", "3.0"))
         assert main(["estimate", "--config", str(cfg)]) == 2
-
-    def test_threads_other_than_one_rejected(self, tmp_path):
-        cfg = tmp_path / "exp.ini"
-        cfg.write_text(GOOD_CONFIG)
-        assert main(["estimate", "--config", str(cfg), "--threads", "4"]) == 2
 
 
 class TestConsoleScript:

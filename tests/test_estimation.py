@@ -14,7 +14,7 @@ from ginibrenet.interference import DiskWindow, NetworkModel
 from ginibrenet.patterns import RngStream
 from ginibrenet.rates import LdpRegime
 from ginibrenet.samplers import sample_beta_ginibre
-from ginibrenet.spectral import DiskRestriction
+from ginibrenet.spectral import DiskRestriction, trace_bound
 
 
 def model(kind="exponential", **fkw):
@@ -44,19 +44,16 @@ class TestCountTail:
 
 
 class TestEstimatorConsistency:
-    def test_tilt_zero_bit_identical_to_crude(self):
-        m = model()
-        crude = estimate_interference_tail(m, 3.0, 400, "crude", RngStream(70))
-        tilted = estimate_interference_tail(m, 3.0, 400, "tilted", RngStream(70),
-                                            tilt=0.0)
-        assert tilted.probability == crude.probability
-        assert tilted.stderr == crude.stderr
-
     def test_reproducible_given_seed(self):
         m = model()
         a = estimate_interference_tail(m, 3.0, 300, "tilted", RngStream(71))
         b = estimate_interference_tail(m, 3.0, 300, "tilted", RngStream(71))
         assert a.probability == b.probability and a.stderr == b.stderr
+        pm = model(kind="pareto", c=2.0)
+        assert (subexp_sum_ratio(pm, [5.0, 10.0], 300, RngStream(71))
+                == subexp_sum_ratio(pm, [5.0, 10.0], 300, RngStream(71)))
+        assert (dominating_event_probe(m, 1.0, 1.0, RngStream(71), n_reps=300)
+                == dominating_event_probe(m, 1.0, 1.0, RngStream(71), n_reps=300))
 
     def test_tilted_matches_crude_within_error(self):
         m = model()
@@ -119,11 +116,21 @@ class TestTiltBracket:
         assert exc.value.diagnostics["theta_hi"] >= 2.0 ** TILT_DOUBLINGS
 
     def test_bounded_level_at_the_supremum_raises(self):
-        # the tilted Beta mean overflows long before it nears B: no bracket
+        # the tilted Beta mean stays below B at every finite tilt, so the
+        # level B * sum(gains) is never bracketed
         fading = FadingSpec(kind="bounded", bound=1.0)
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(CapExceededError, match="bracket"):
-            _pattern_tilt(fading, np.array([1.0]), 1.0 - 1e-9)
+        with pytest.raises(CapExceededError, match="bracket") as exc:
+            _pattern_tilt(fading, np.array([1.0, 0.5]), 1.5)
+        assert exc.value.diagnostics["doublings"] == TILT_DOUBLINGS
+
+    def test_bounded_tilted_at_large_tilts(self):
+        # some patterns need theta B past ~710, where the Beta MGF overflowed
+        m = model(kind="bounded", bound=1.0)
+        tilted = estimate_interference_tail(m, 1.2, 400, "tilted", RngStream(5))
+        crude = estimate_interference_tail(m, 1.2, 40_000, "crude", RngStream(6))
+        assert tilted.probability > 0.0
+        assert abs(tilted.probability - crude.probability) <= 3 * (tilted.stderr
+                                                                   + crude.stderr)
 
 
 class TestSpeedRegression:
@@ -162,6 +169,24 @@ class TestSubexpRatio:
         m = model(kind="pareto", c=2.0)
         ratios = subexp_sum_ratio(m, [0.01], 2000, RngStream(82))
         assert ratios[0] > 0.0 and not (ratios[0] != ratios[0])
+
+    def test_sum_tail_matches_crude_within_error(self):
+        # with R = 2 every in-window gain is 2^-4, so I >= x / 16 is exactly
+        # sum Z >= x, and the single-jump estimate of that event with its
+        # default split R^alpha (x / 16) / 2 = x / 2 is subexp_sum_ratio's p-hat.
+        # Its upward bias, from two marks past the split, is about
+        # E[N (N - 1)] Fbar(x / 2)^2 / 2 < 1e-4 here, below the crude stderr
+        m = NetworkModel(beta=1.0, window=DiskWindow(radius=2.0), receiver=0j,
+                         atten_R=2.0, atten_alpha=4.0,
+                         fading=FadingSpec(kind="pareto", c=2.0))
+        x = 30.0
+        e_n = trace_bound(DiskRestriction(radius=2.0, palm_shift=True))
+        p_hat = (subexp_sum_ratio(m, [x], 4000, RngStream(86))[0]
+                 * e_n * float(m.fading.survival(x)))
+        sj = estimate_interference_tail(m, x / 16, 4000, "single_jump", RngStream(86))
+        assert p_hat == pytest.approx(sj.probability, rel=1e-12)
+        crude = estimate_interference_tail(m, x / 16, 40_000, "crude", RngStream(87))
+        assert abs(p_hat - crude.probability) <= 3 * (sj.stderr + crude.stderr)
 
 
 class TestDominatingEventProbe:

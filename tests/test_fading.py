@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from ginibrenet.errors import MgfDivergenceError, SamplerStallError
 from ginibrenet.fading import FadingSpec
@@ -141,6 +142,24 @@ class TestMgf:
                          (FadingSpec(kind="weibull_super", c=1.0, gamma=2.0), 2.0)):
             numeric = (f.log_mgf(theta + h) - f.log_mgf(theta - h)) / (2 * h)
             assert f.tilted_mean(theta) == pytest.approx(numeric, rel=1e-4)
+
+    @pytest.mark.parametrize("theta_b", [0.5, 50.0, 1e3, 1e5])
+    def test_bounded_against_quadrature(self, theta_b):
+        # tilts far past theta B ~ 710, where e^(theta B) overflows
+        f = FadingSpec(kind="bounded", bound=2.0, beta_a=2.0, beta_b=3.0)
+        theta = theta_b / f.bound
+        cut = max(0.0, f.bound - 60.0 / theta)  # the tilted mass sits above cut
+
+        def moment(order):
+            def integrand(z):
+                return z ** order * math.exp(f.log_pdf(z) + theta * (z - f.bound))
+            return sum(integrate.quad(integrand, a, b, epsabs=1e-40, epsrel=1e-12,
+                                      limit=200)[0]
+                       for a, b in ((0.0, cut), (cut, f.bound)) if b > a)
+
+        m0 = moment(0)
+        assert f.log_mgf(theta) == pytest.approx(theta_b + math.log(m0), rel=1e-10)
+        assert f.tilted_mean(theta) == pytest.approx(moment(1) / m0, rel=1e-10)
 
     def test_tilted_mean_increasing_in_theta(self):
         f = FadingSpec(kind="weibull_super", c=1.0, gamma=2.0)

@@ -13,7 +13,7 @@ from scipy import stats
 from ginibrenet.patterns import RngStream
 from ginibrenet.samplers import (kostlan_validation, sample_beta_ginibre,
                                  sample_ginibre_disk, sample_palm_beta_ginibre,
-                                 sample_poisson, sample_poisson_rect)
+                                 sample_poisson)
 from ginibrenet.spectral import DiskRestriction, count_distribution, trace_bound
 from ginibrenet.validate import chisquare_vs_pmf
 
@@ -91,11 +91,6 @@ class TestCountMoments:
         pmf = stats.poisson(4.0).pmf(np.arange(30))
         assert np.mean(gen_counts) == pytest.approx(4.0, abs=0.15)
         assert chisquare_vs_pmf(gen_counts, pmf) > 0.01
-
-    def test_poisson_rect_mean(self):
-        counts = [len(sample_poisson_rect(2.0, 3.0, 0.5, RngStream(34, i)))
-                  for i in range(2000)]
-        assert np.mean(counts) == pytest.approx(3.0, abs=0.2)
 
 
 class TestRepulsion:
