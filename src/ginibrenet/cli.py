@@ -143,8 +143,7 @@ def cmd_estimate(args) -> int:
     code = 0
     try:
         estimates = grid_estimates(cfg.model, cfg.plan.x_grid, cfg.plan.n_reps,
-                                   cfg.plan.estimator, RngStream(cfg.plan.seed),
-                                   split=cfg.plan.split)
+                                   cfg.plan.estimator, RngStream(cfg.plan.seed))
         for x, est in zip(cfg.plan.x_grid, estimates):
             rows.append({"x": x, "eps": 1.0, "estimator": est.estimator,
                          "p": est.probability, "stderr": est.stderr,

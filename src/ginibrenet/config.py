@@ -8,7 +8,9 @@ Format: one ``key = value`` per line under ``[section]`` headers.  Sections:
 * ``fading``       -- kind plus its parameters (bound/beta_a/beta_b, c, gamma)
 * ``noise``        -- w
 * ``threshold``    -- tau
-* ``estimation``   -- estimator, n_reps, x_grid, seed, optional split
+* ``estimation``   -- estimator (crude | tilted | single_jump, the last the
+                      Asmussen-Kroese conditional estimator, which has no
+                      threshold to set), n_reps, x_grid, seed
 * ``output``       -- directory
 
 Errors carry the file path plus the section/key and, when the line exists,
@@ -20,6 +22,7 @@ import configparser
 from dataclasses import dataclass
 from pathlib import Path
 
+from .estimation import ESTIMATORS
 from .fading import FADING_KINDS, FadingSpec
 from .interference import DiskWindow, NetworkModel
 from .rates import LdpRegime
@@ -54,7 +57,6 @@ class EstimationPlan:
     n_reps: int
     x_grid: list[float]
     seed: int
-    split: float | None = None
 
 
 @dataclass
@@ -179,7 +181,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
         raise ConfigError(f"{path}: {exc}") from exc
 
     estimator = rd.get("estimation", "estimator")
-    if estimator not in ("crude", "tilted", "single_jump"):
+    if estimator not in ESTIMATORS:
         rd.fail("estimation", "estimator", f"unknown estimator {estimator!r}")
     n_reps = rd.get_int("estimation", "n_reps")
     if n_reps <= 0:
@@ -190,11 +192,9 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
     if any(b <= a for a, b in zip(x_grid, x_grid[1:])):
         rd.fail("estimation", "x_grid", "grid must be strictly increasing")
     seed = seed_override if seed_override is not None else rd.get_int("estimation", "seed")
-    split = rd.get_float("estimation", "split") \
-        if parser.has_option("estimation", "split") else None
 
     plan = EstimationPlan(estimator=estimator, n_reps=n_reps, x_grid=x_grid,
-                          seed=seed, split=split)
+                          seed=seed)
     regime = LdpRegime.from_fading(fading, model.atten_R, model.atten_alpha)
     return ExperimentConfig(model=model, regime=regime, plan=plan,
                             output_dir=Path(rd.get("output", "directory")),

@@ -8,9 +8,12 @@ Estimator variants for P(I_Lambda >= x):
                      solves the mean-shift equation so the tilted mean of
                      sum(L_i Z_i) matches the target level.  Marks only are
                      tilted, never point positions.
-* ``single_jump`` -- splits on the largest mark exceeding a threshold; the
-                     jump part conditions one mark on the exceedance and is
-                     asymptotically calibrated rather than exactly unbiased.
+* ``single_jump`` -- the Asmussen-Kroese conditional estimator: given the
+                     weighted marks w_i = L_i Z_i with sum S, it returns
+                     sum_i Fbar(max(max_{j != i} w_j, x - S + w_i) / L_i),
+                     term i being P(I >= x, mark i the largest | the
+                     other marks).  Unbiased for every fading law, with
+                     no threshold to choose.
 
 One loop, ``_replicate``, runs the replications of every estimator here.  Per
 replication it draws the distances from the receiver to the in-window
@@ -19,9 +22,9 @@ the origin, the DPP projection sampler otherwise), and an evaluator turns
 them into a value or a row:
 
 * ``_crude`` and ``_tilted`` -- one tail indicator or weight at level x;
-* ``_single_jump`` -- one value per (x, split) pair: one pair for
-  ``estimate_interference_tail``, a grid with unit gains and split x / 2
-  for ``subexp_sum_ratio``;
+* ``_single_jump`` -- one value per level of a grid: a one-level grid for
+  ``estimate_interference_tail``, a grid with unit gains for
+  ``subexp_sum_ratio``;
 * ``dominating_event_probe``'s evaluator -- a (hit, ball count) row.
 
 Count tails need no sampling at all: the Poisson-binomial spectrum is exact.
@@ -204,32 +207,27 @@ def _tilted(model: NetworkModel, x: float):
     return evaluate
 
 
-def _single_jump(fading: FadingSpec, points, gains_of):
-    """Evaluator of the single-jump estimator at every (x, split) pair in
-    ``points``, returning one value per pair.
+def _single_jump(fading: FadingSpec, x_grid, gains_of):
+    """Evaluator of the Asmussen-Kroese estimator at every level in
+    ``x_grid``, returning one value per level.
 
-    Given the pattern, remainder 1{I >= x, max mark <= split} plus the jump
-    part n P(Z > split) 1{I >= x after mark j is redrawn beyond split}; j is
-    chosen once per replication and shared by every pair.
+    With w = L Z, S_-i = S - w_i and M_-i the largest of the other weighted
+    marks (from the top two), the value at x is
+    sum_i Fbar(max(M_-i, x - S_-i) / L_i): O(n) per level, one mark draw per
+    replication shared by every level, and 0 for an empty pattern.
     """
-    sf = [float(fading.survival(s)) for _, s in points]
+    x = np.asarray(x_grid, dtype=float)[:, None]
 
     def evaluate(dist, gen):
         gains = gains_of(dist)
-        n_in = len(gains)
-        marks = fading.sample(n_in, gen)
-        i_val = _sorted_sum(marks, gains)
-        max_in = float(np.max(marks)) if n_in else 0.0
-        j = int(gen.integers(n_in)) if n_in else 0
-        row = np.empty(len(points))
-        for k, ((x, s), sf_s) in enumerate(zip(points, sf)):
-            row[k] = 1.0 if (i_val >= x and max_in <= s) else 0.0
-            if n_in:
-                jumped = marks.copy()
-                jumped[j] = fading.sample_conditional_exceedance(s, 1, gen)[0]
-                if _sorted_sum(jumped, gains) >= x:
-                    row[k] += n_in * sf_s
-        return row
+        if len(gains) == 0:
+            return np.zeros(len(x))
+        w = fading.sample(len(gains), gen) * gains
+        top = int(np.argmax(w))
+        rest_max = np.full(len(w), w[top])
+        rest_max[top] = np.max(np.delete(w, top), initial=0.0)
+        rest_sum = w.sum() - w
+        return fading.survival(np.maximum(rest_max, x - rest_sum) / gains).sum(axis=1)
     return evaluate
 
 
@@ -243,13 +241,8 @@ def _replicate(model: NetworkModel, n_reps: int, rng: RngStream, evaluate) -> np
 
 
 def estimate_interference_tail(model: NetworkModel, x: float, n_reps: int,
-                               estimator: str, rng: RngStream,
-                               split: float | None = None) -> TailEstimate:
-    """Estimate P(I_Lambda >= x) with the requested estimator variant.
-
-    ``split`` is the single-jump threshold on a mark, R^alpha x / 2 unless
-    given.
-    """
+                               estimator: str, rng: RngStream) -> TailEstimate:
+    """Estimate P(I_Lambda >= x) with the requested estimator variant."""
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
     if n_reps <= 0:
@@ -262,19 +255,16 @@ def estimate_interference_tail(model: NetworkModel, x: float, n_reps: int,
         raise ValueError(
             f"single_jump estimator needs subexponential or exponential fading, got {kind!r}")
 
-    diagnostics: dict[str, float] = {}
     if estimator == "crude":
         evaluate = _crude(model, x)
     elif estimator == "tilted":
         evaluate = _tilted(model, x)
     else:
-        s = split if split is not None else model.r_alpha * x / 2.0
-        diagnostics["split_threshold"] = s
-        evaluate = _single_jump(model.fading, [(x, s)],
+        evaluate = _single_jump(model.fading, [x],
                                 lambda d: attenuation(d, model.atten_R, model.atten_alpha))
-    # a single-jump row holds the one (x, split) pair
+    # a single-jump row holds the one level
     values = _replicate(model, n_reps, rng, evaluate).reshape(n_reps)
-    est = _finalize(values, estimator, diagnostics)
+    est = _finalize(values, estimator, {})
     if estimator == "tilted" and est.probability > 0:
         w = values[values > 0]
         est.diagnostics["ess"] = float(np.sum(w) ** 2 / np.sum(w * w))
@@ -320,13 +310,12 @@ def _increasing(x_grid) -> list[float]:
 
 
 def grid_estimates(model: NetworkModel, x_grid, n_reps: int, estimator: str,
-                   rng: RngStream, split: float | None = None):
+                   rng: RngStream):
     """Yield one estimate per grid point, point i on substream 1000 (i + 1),
     so a caller keeps the points finished before a failure."""
     for i, x in enumerate(x_grid):
         yield estimate_interference_tail(model, x, n_reps, estimator,
-                                         rng.substream(1000 * (i + 1)),
-                                         split=split)
+                                         rng.substream(1000 * (i + 1)))
 
 
 def fit_slope(regime: LdpRegime, x_grid, probabilities) -> SlopeReport:
@@ -367,15 +356,15 @@ def subexp_sum_ratio(model: NetworkModel, x_grid, n_reps: int,
                      rng: RngStream) -> list[float]:
     """p-hat(sum Z >= x) / (E[N] * survival(x)) per grid point.
 
-    p-hat is the single-jump estimate with unit gains and split x / 2, every
-    grid point on the same replications.  The single-big-jump principle
-    predicts the ratio tends to 1.  E[N] comes from the exact Palm trace for
-    origin-centered windows and from the empirical mean otherwise.
+    p-hat is the single-jump estimate with unit gains, every grid point on
+    the same replications.  The single-big-jump principle predicts the ratio
+    tends to 1.  E[N] comes from the exact Palm trace for origin-centered
+    windows and from the empirical mean otherwise.
     """
     if model.fading.kind not in SUBEXPONENTIAL_KINDS:
         raise ValueError("subexp_sum_ratio requires a subexponential fading kind")
     x_grid = [float(v) for v in x_grid]
-    jump = _single_jump(model.fading, [(x, x / 2.0) for x in x_grid], np.ones_like)
+    jump = _single_jump(model.fading, x_grid, np.ones_like)
     rows = _replicate(model, n_reps, rng,
                       lambda dist, gen: (len(dist), *jump(dist, gen)))
     if abs(model.window.center) < 1e-12:

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .errors import MgfDivergenceError, SamplerStallError
+from .errors import MgfDivergenceError
 
 FADING_KINDS = ("bounded", "weibull_super", "exponential", "weibull_sub", "pareto")
-EXCEEDANCE_CAP = 1_000_000  # bounded-kind rejection proposals before giving up
 
 # Kinds with an MGF finite on (at least) a right neighborhood of zero.
 LIGHT_TAIL_KINDS = ("bounded", "weibull_super", "exponential")
@@ -141,39 +140,6 @@ class FadingSpec:
         if self.kind == "pareto":
             return np.expm1(e / self.c)
         raise ValueError(f"inverse-CDF sampling unsupported for {self.kind}")
-
-    def sample_conditional_exceedance(self, threshold: float, n: int,
-                                      rng: np.random.Generator) -> np.ndarray:
-        """Draws from the law of Z given Z > threshold (tail kinds only)."""
-        if self.kind == "bounded":
-            if threshold >= self.bound:
-                raise ValueError("threshold at or above the bounded supremum")
-            # rejection against the unconditional law; the tail mass is
-            # positive but can be too small to reach, hence the cap
-            out = np.empty(n)
-            filled = 0
-            proposals = 0
-            while filled < n:
-                if proposals >= EXCEEDANCE_CAP:
-                    raise SamplerStallError(
-                        "conditional exceedance: rejection loop exceeded the "
-                        "proposal cap",
-                        diagnostics={
-                            "threshold": threshold, "bound": self.bound,
-                            "tail_mass": float(self.survival(threshold)),
-                            "accepted": filled, "target": n,
-                            "proposals": proposals,
-                        })
-                draw = self.sample(max(n - filled, 16), rng)
-                proposals += len(draw)
-                keep = draw[draw > threshold]
-                take = min(len(keep), n - filled)
-                out[filled:filled + take] = keep[:take]
-                filled += take
-            return out
-        sf = math.exp(self.log_survival(threshold))
-        u = rng.random(n)
-        return self._inverse_survival_of_one_minus(1.0 - u * sf)
 
     # -- moment generating function ---------------------------------------
 

@@ -221,10 +221,7 @@ def chernoff_tail_bound(model: "NetworkModel", x: float, eps: float, theta: floa
     restriction = DiskRestriction(radius=r_enclose, beta=model.beta, palm_shift=False)
     vals = eigenvalues(restriction, tol).values
     s = theta * eps * model.atten_R ** (-model.atten_alpha)
-    try:
-        log_m = model.fading.log_mgf(s)
-    except MgfDivergenceError:
-        raise
+    log_m = model.fading.log_mgf(s)
     with np.errstate(divide="ignore"):
         log_terms = np.logaddexp(np.log1p(-vals), np.log(vals) + log_m)
     log_bound = -theta * x + float(np.sum(log_terms))
@@ -252,13 +249,3 @@ def minimized_chernoff_bound(model: "NetworkModel", x: float, eps: float,
         if val < best:
             best, best_theta = val, float(theta)
     return best, best_theta
-
-
-def weibull_proof_tilt(c: float, gamma: float, r_alpha: float,
-                       x: float, eps: float) -> float:
-    """The tilt used in the Weibull upper-bound construction:
-    theta = (R^alpha * gtilde / eps) * (x/eps * log(x/eps))^((gamma-1)/(gamma+1))."""
-    gtilde = 0.5 * (r_alpha * gamma / (gamma - 1.0)) ** ((gamma - 1.0) / (gamma + 1.0)) \
-        * (c * (gamma + 1.0)) ** (2.0 / (gamma + 1.0))
-    ratio = x / eps
-    return r_alpha * gtilde / eps * (ratio * math.log(ratio)) ** ((gamma - 1.0) / (gamma + 1.0))

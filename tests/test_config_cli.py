@@ -83,6 +83,12 @@ class TestConfig:
         p.write_text(GOOD_CONFIG + f"\n[output]\ndirectory = {tmp_path}\nformats = csv\n")
         assert load_config(p).output_dir == tmp_path
 
+    def test_old_split_key_still_loads(self, tmp_path):
+        # single_jump no longer has a threshold; configs that set it still load
+        p = tmp_path / "sj.ini"
+        p.write_text(GOOD_CONFIG.replace("seed = 7", "seed = 7\nsplit = 2.0"))
+        assert load_config(p).plan.seed == 7
+
 
 class TestCliSample:
     def test_sample_writes_readable_csv(self, tmp_path):
@@ -162,12 +168,10 @@ class TestCliEstimate:
         assert (tmp_path / "out" / "slope.csv").exists()
 
     def test_slope_fitted_to_the_written_estimates(self, tmp_path):
-        # single_jump depends on [estimation] split: slope.csv must be fitted
-        # to the estimates in estimates.csv, split included
         cfg = tmp_path / "sj.ini"
         cfg.write_text(
             GOOD_CONFIG.replace("kind = exponential\nc = 1.0", "kind = pareto\nc = 2.0")
-            .replace("estimator = tilted", "estimator = single_jump\nsplit = 2.0")
+            .replace("estimator = tilted", "estimator = single_jump")
             .replace("n_reps = 200", "n_reps = 1000")
             .replace("3.0, 4.0, 5.0", "4.0, 8.0, 16.0")
             + f"\n[output]\ndirectory = {tmp_path}/out\n")

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ginibrenet.errors import CapExceededError
 from ginibrenet.estimation import (TILT_DOUBLINGS, TailEstimate, _pattern_tilt,
-                                   dominating_event_probe, estimate_count_tail,
+                                   _single_jump, dominating_event_probe,
+                                   estimate_count_tail,
                                    estimate_interference_tail,
                                    speed_regression, subexp_sum_ratio)
 from ginibrenet.fading import FadingSpec
@@ -172,21 +175,45 @@ class TestSubexpRatio:
 
     def test_sum_tail_matches_crude_within_error(self):
         # with R = 2 every in-window gain is 2^-4, so I >= x / 16 is exactly
-        # sum Z >= x, and the single-jump estimate of that event with its
-        # default split R^alpha (x / 16) / 2 = x / 2 is subexp_sum_ratio's p-hat.
-        # Its upward bias, from two marks past the split, is about
-        # E[N (N - 1)] Fbar(x / 2)^2 / 2 < 1e-4 here, below the crude stderr
+        # sum Z >= x, and the single-jump estimate of that event is
+        # subexp_sum_ratio's p-hat.  At sum Z >= 8 two marks often pass x / 2:
+        # an estimator that splits on one mark beyond x / 2 counts those
+        # patterns twice and lands 4.8 combined stderrs above crude here
         m = NetworkModel(beta=1.0, window=DiskWindow(radius=2.0), receiver=0j,
                          atten_R=2.0, atten_alpha=4.0,
                          fading=FadingSpec(kind="pareto", c=2.0))
-        x = 30.0
         e_n = trace_bound(DiskRestriction(radius=2.0, palm_shift=True))
-        p_hat = (subexp_sum_ratio(m, [x], 4000, RngStream(86))[0]
-                 * e_n * float(m.fading.survival(x)))
-        sj = estimate_interference_tail(m, x / 16, 4000, "single_jump", RngStream(86))
-        assert p_hat == pytest.approx(sj.probability, rel=1e-12)
-        crude = estimate_interference_tail(m, x / 16, 40_000, "crude", RngStream(87))
-        assert abs(p_hat - crude.probability) <= 3 * (sj.stderr + crude.stderr)
+        for x in (8.0, 30.0):
+            p_hat = (subexp_sum_ratio(m, [x], 4000, RngStream(86))[0]
+                     * e_n * float(m.fading.survival(x)))
+            sj = estimate_interference_tail(m, x / 16, 4000, "single_jump",
+                                            RngStream(86))
+            assert p_hat == pytest.approx(sj.probability, rel=1e-12)
+            crude = estimate_interference_tail(m, x / 16, 40_000, "crude",
+                                               RngStream(87))
+            assert abs(p_hat - crude.probability) <= 3 * math.hypot(sj.stderr,
+                                                                    crude.stderr)
+
+
+class TestSingleJumpEvaluator:
+    @given(gains=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=8),
+           levels=st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=6,
+                           unique=True),
+           fading=st.sampled_from([FadingSpec(kind="pareto", c=2.0),
+                                   FadingSpec(kind="weibull_sub", c=1.0, gamma=0.5),
+                                   FadingSpec(kind="exponential", c=1.0)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_row_in_range_nonincreasing_and_exact_for_one_mark(self, gains, levels,
+                                                              fading, seed):
+        x_grid = np.array(sorted(levels))
+        gains = np.array(gains)
+        row = _single_jump(fading, x_grid, lambda d: d)(gains,
+                                                         np.random.default_rng(seed))
+        assert np.all(np.diff(row) <= 0.0)
+        assert np.all((row >= 0.0) & (row <= len(gains)))
+        if len(gains) == 1:
+            assert np.array_equal(row, fading.survival(x_grid / gains[0]))
 
 
 class TestDominatingEventProbe:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from ginibrenet.errors import MgfDivergenceError, SamplerStallError
+from ginibrenet.errors import MgfDivergenceError
 from ginibrenet.fading import FadingSpec
 from ginibrenet.patterns import RngStream
 
@@ -89,30 +89,6 @@ class TestSampling:
         for z in (0.5, 2.0, 5.0):
             emp = float(np.mean(draws > z))
             assert emp == pytest.approx(f.survival(z), abs=0.01)
-
-    def test_conditional_exceedance_law(self):
-        f = FadingSpec(kind="exponential", c=1.0)
-        draws = f.sample_conditional_exceedance(3.0, 50_000, gen(8))
-        assert np.all(draws > 3.0)
-        # memorylessness: excess over 3 is Exp(1)
-        assert (draws - 3.0).mean() == pytest.approx(1.0, abs=0.02)
-
-    def test_conditional_exceedance_bounded(self):
-        f = FadingSpec(kind="bounded", bound=1.0)
-        draws = f.sample_conditional_exceedance(0.8, 2000, gen(9))
-        assert np.all((draws > 0.8) & (draws <= 1.0))
-        with pytest.raises(ValueError):
-            f.sample_conditional_exceedance(1.0, 10, gen())
-
-    def test_conditional_exceedance_bounded_cap(self):
-        # a threshold just below B leaves a tail mass of ~3e-12, out of
-        # reach of the rejection loop: it must stop and say why
-        f = FadingSpec(kind="bounded", bound=1.0)
-        with pytest.raises(SamplerStallError, match="proposal cap") as exc:
-            f.sample_conditional_exceedance(1.0 - 1e-6, 1, gen(10))
-        diag = exc.value.diagnostics
-        assert diag["proposals"] >= 1_000_000 and diag["accepted"] == 0
-        assert 0.0 < diag["tail_mass"] < 1e-11
 
 
 class TestMgf:

@@ -152,13 +152,10 @@ class TestProofConstants:
         assert pc.gamma_tilde == pytest.approx(
             weibull_rate_constant(1.0, 2.0, 1.0), rel=1e-12)
         assert pc.block_n >= 1
-
-    def test_tilt_matches_spectral_helper(self):
-        from ginibrenet.spectral import weibull_proof_tilt
-        r = regime("weibull_super", c=1.0, gamma=2.0)
-        pc = proof_constants(r, x=2.0, eps=0.05)
-        assert pc.theta_tilt == pytest.approx(
-            weibull_proof_tilt(1.0, 2.0, 1.0, 2.0, 0.05), rel=1e-12)
+        # (R^a gtilde / eps) (x/eps log(x/eps))^((g-1)/(g+1)) at R = 1, g = 2:
+        # gtilde = 2^(1/3) 3^(2/3) / 2, x/eps = 40
+        assert proof_constants(r, x=2.0, eps=0.05).theta_tilt == pytest.approx(
+            138.48699338665122, rel=1e-12)
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="weibull_super"):
