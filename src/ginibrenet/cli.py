@@ -27,20 +27,32 @@ from .validate import run_suite
 _PROCESS_CHOICES = ("ginibre", "beta-ginibre", "palm", "poisson")
 
 
+def _seed(text: str) -> int:
+    """A master seed: a non-negative integer (numpy's SeedSequence entropy)."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    return seed
+
+
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("GINIBRENET_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(2)
-    return 0
+    if env is None:
+        return 0
+    try:
+        return _seed(env)
+    except argparse.ArgumentTypeError as exc:
+        print(f"error: GINIBRENET_SEED: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _add_seed(parser):
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_seed, default=None,
                         help="master seed (fallback: GINIBRENET_SEED, then 0)")
 
 
@@ -67,10 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser(
         "estimate", help="run the configured tail estimator over a grid",
         description="Read an experiment config (INI sections: process, "
-                    "receiver, attenuation, fading, noise, threshold, "
-                    "estimation, output; defaults are the NetworkModel "
-                    "defaults documented in the config module) and write "
-                    "estimates.csv plus slope.csv to the output directory.")
+                    "receiver, attenuation, fading, estimation, output; "
+                    "keys and defaults are documented in the config module) "
+                    "and write estimates.csv plus slope.csv to the output "
+                    "directory.")
     p_est.add_argument("--config", type=Path, required=True)
     _add_seed(p_est)
 
@@ -180,16 +192,11 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    kw = {"kind": args.fading}
-    if args.fading == "bounded":
-        kw["bound"] = args.bound
-    else:
-        kw["c"] = args.c
-    if args.fading in ("weibull_super", "weibull_sub"):
-        kw["gamma"] = args.gamma
     try:
-        fading = FadingSpec(**kw)
-        regime = LdpRegime.from_fading(fading, args.atten_R, args.atten_alpha)
+        # FadingSpec ignores the parameters its kind does not use
+        fading = FadingSpec(kind=args.fading, bound=args.bound, c=args.c,
+                            gamma=args.gamma)
+        regime = LdpRegime(fading, args.atten_R, args.atten_alpha)
         lines = [f"regime: {regime.kind}  (R={args.atten_R}, alpha={args.atten_alpha})",
                  f"{'x':>12s} {'rate':>16s} {'asymptote':>16s}"]
         for x in args.x:

@@ -5,13 +5,16 @@ Format: one ``key = value`` per line under ``[section]`` headers.  Sections:
 * ``process``      -- kind (beta_ginibre | palm_beta_ginibre), beta, radius
 * ``receiver``     -- x, y coordinates of the receiver
 * ``attenuation``  -- R, alpha
-* ``fading``       -- kind plus its parameters (bound/beta_a/beta_b, c, gamma)
-* ``noise``        -- w
-* ``threshold``    -- tau
+* ``fading``       -- kind plus ``FadingSpec`` parameters (bound, beta_a,
+                      beta_b, c, gamma); a kind ignores those it does not use
 * ``estimation``   -- estimator (crude | tilted | single_jump, the last the
                       Asmussen-Kroese conditional estimator, which has no
-                      threshold to set), n_reps, x_grid, seed
+                      threshold to set), n_reps, x_grid, seed (non-negative)
 * ``output``       -- directory
+
+Other keys and sections are not read.  The tail of I_Lambda depends on
+neither the noise power nor the SINR threshold, so ``[noise] w`` and
+``[threshold] tau`` are among them.
 
 Errors carry the file path plus the section/key and, when the line exists,
 its line number.
@@ -19,7 +22,7 @@ its line number.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .estimation import ESTIMATORS
@@ -36,18 +39,8 @@ DEFAULTS = {
     "process": {"kind": "palm_beta_ginibre", "beta": "1.0", "radius": "2.0"},
     "receiver": {"x": "0.0", "y": "0.0"},
     "attenuation": {"R": "1.0", "alpha": "4.0"},
-    "noise": {"w": "1.0"},
-    "threshold": {"tau": "1.0"},
     "estimation": {"estimator": "crude", "n_reps": "1000", "seed": "0"},
     "output": {"directory": "."},
-}
-
-_FADING_FIELDS = {
-    "bounded": ("bound", "beta_a", "beta_b"),
-    "weibull_super": ("c", "gamma"),
-    "exponential": ("c",),
-    "weibull_sub": ("c", "gamma"),
-    "pareto": ("c",),
 }
 
 
@@ -65,7 +58,6 @@ class ExperimentConfig:
     regime: LdpRegime
     plan: EstimationPlan
     output_dir: Path
-    path: Path | None = None
 
 
 def _line_of(text: str, section: str, key: str | None = None) -> int | None:
@@ -156,10 +148,9 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
     if fkind not in FADING_KINDS:
         rd.fail("fading", "kind",
                 f"unknown fading kind {fkind!r}; choose from {FADING_KINDS}")
-    fkw = {}
-    for name in _FADING_FIELDS[fkind]:
-        if parser.has_option("fading", name):
-            fkw[name] = rd.get_float("fading", name)
+    # FadingSpec ignores the parameters its kind does not use
+    fkw = {f.name: rd.get_float("fading", f.name) for f in fields(FadingSpec)
+           if f.name != "kind" and parser.has_option("fading", f.name)}
     try:
         fading = FadingSpec(kind=fkind, **fkw)
     except ValueError as exc:
@@ -174,8 +165,6 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
             atten_R=rd.get_float("attenuation", "R"),
             atten_alpha=rd.get_float("attenuation", "alpha"),
             fading=fading,
-            noise_w=rd.get_float("noise", "w"),
-            threshold_tau=rd.get_float("threshold", "tau"),
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -191,11 +180,15 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
     x_grid = rd.get_floats("estimation", "x_grid")
     if any(b <= a for a, b in zip(x_grid, x_grid[1:])):
         rd.fail("estimation", "x_grid", "grid must be strictly increasing")
-    seed = seed_override if seed_override is not None else rd.get_int("estimation", "seed")
+    if seed_override is not None:
+        seed = seed_override
+    else:
+        seed = rd.get_int("estimation", "seed")
+        if seed < 0:
+            rd.fail("estimation", "seed", "must be non-negative")
 
     plan = EstimationPlan(estimator=estimator, n_reps=n_reps, x_grid=x_grid,
                           seed=seed)
-    regime = LdpRegime.from_fading(fading, model.atten_R, model.atten_alpha)
+    regime = LdpRegime(fading, model.atten_R, model.atten_alpha)
     return ExperimentConfig(model=model, regime=regime, plan=plan,
-                            output_dir=Path(rd.get("output", "directory")),
-                            path=path)
+                            output_dir=Path(rd.get("output", "directory")))

@@ -26,8 +26,6 @@ them into a value or a row:
   ``estimate_interference_tail``, a grid with unit gains for
   ``subexp_sum_ratio``;
 * ``dominating_event_probe``'s evaluator -- a (hit, ball count) row.
-
-Count tails need no sampling at all: the Poisson-binomial spectrum is exact.
 """
 from __future__ import annotations
 
@@ -43,7 +41,7 @@ from .interference import NetworkModel, _sorted_sum, attenuation
 from .patterns import RngStream
 from .rates import LdpRegime, growth_function, proof_constants, tail_asymptote
 from .samplers import sample_palm_beta_ginibre
-from .spectral import DiskRestriction, eigenvalues, log_count_tail, trace_bound
+from .spectral import DiskRestriction, eigenvalues, trace_bound
 
 ESTIMATORS = ("crude", "tilted", "single_jump")
 TILT_DOUBLINGS = 40  # bracket doublings from 1/max gain: tilts up to ~1e12 / max gain
@@ -104,7 +102,7 @@ def _radial_draw(model: NetworkModel):
     """
     beta = model.beta
     kappa = eigenvalues(DiskRestriction(radius=model.window.radius / math.sqrt(beta),
-                                        palm_shift=True)).values
+                                        palm_shift=True))
     present = beta * kappa
     shapes = np.arange(2.0, len(kappa) + 2.0)
 
@@ -291,17 +289,6 @@ def _tilted_draw(fading: FadingSpec, theta: float, gen: np.random.Generator) -> 
     return float(grid[idx] + frac * (grid[idx + 1] - grid[idx]))
 
 
-def estimate_count_tail(restriction: DiskRestriction, m: int) -> TailEstimate:
-    """P(N >= m) computed exactly from the Poisson-binomial spectrum."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    logp = log_count_tail(restriction, m)
-    p = math.exp(logp) if logp > -700 else 0.0
-    return TailEstimate(probability=p, stderr=0.0, ci95=(p, p), n_reps=1,
-                        estimator="crude", log_probability=logp,
-                        diagnostics={"exact_spectral": 1.0})
-
-
 def _increasing(x_grid) -> list[float]:
     x_grid = [float(v) for v in x_grid]
     if any(b <= a for a, b in zip(x_grid, x_grid[1:])):
@@ -389,9 +376,7 @@ class DominatingEventProbe:
 
 
 def dominating_event_probe(model: NetworkModel, x: float, eps: float,
-                           rng: RngStream, n_reps: int = 20_000,
-                           block_n: int | None = None,
-                           bounded_delta: float = 0.2) -> DominatingEventProbe:
+                           rng: RngStream, n_reps: int = 20_000) -> DominatingEventProbe:
     """Monte Carlo check that the proof's lower-bound events really minorize
     the tail: block bound P(N(b(y,r)) >= n) P(Z > R^a x/(n eps))^n and the
     single-jump bound P(Z > R^a x/eps) P(N(b(y,r)) >= 1).
@@ -403,18 +388,14 @@ def dominating_event_probe(model: NetworkModel, x: float, eps: float,
     if gap < 0.02 * model.window.radius:
         raise ValueError("receiver too close to the window boundary for the probe ball")
     r = min(0.5 * gap, 0.99 * model.atten_R)
-    if block_n is None:
-        kind = model.fading.kind
-        if kind == "bounded":
-            # pick n so the per-mark threshold sits at (1 - delta) B
-            block_n = int(model.r_alpha * x / ((1.0 - bounded_delta) * model.fading.bound * eps)) + 1
-        elif kind == "weibull_super":
-            regime = LdpRegime.from_fading(model.fading, model.atten_R, model.atten_alpha)
-            block_n = max(1, proof_constants(regime, x, eps).block_n)
-        else:
-            block_n = 1
-    if block_n < 1:
-        raise ValueError("block size must be at least 1")
+    kind = model.fading.kind
+    if kind == "bounded":  # n puts the per-mark threshold at 0.8 B
+        block_n = int(model.r_alpha * x / (0.8 * model.fading.bound * eps)) + 1
+    elif kind == "weibull_super":
+        regime = LdpRegime(model.fading, model.atten_R, model.atten_alpha)
+        block_n = max(1, proof_constants(regime, x, eps).block_n)
+    else:
+        block_n = 1
     log_sf_block = float(model.fading.log_survival(model.r_alpha * x / (block_n * eps)))
     log_sf_single = float(model.fading.log_survival(model.r_alpha * x / eps))
 

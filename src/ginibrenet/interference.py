@@ -27,11 +27,14 @@ class DiskWindow:
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """Full scenario: node process, receiver geometry, attenuation, fading, noise.
+    """Full scenario: node process, receiver geometry, attenuation, fading,
+    noise power and SINR threshold.
 
     The transmitter at the origin contributes only the useful signal; the
     interferers are the reduced Palm points of the node process inside the
-    window.
+    window.  The tail of I_Lambda depends on neither ``noise_w`` nor
+    ``threshold_tau``: only ``sinr`` and ``success_threshold`` read them, and
+    the experiment config leaves them at their defaults.
     """
 
     beta: float

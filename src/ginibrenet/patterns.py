@@ -32,10 +32,10 @@ class RngStream:
 
 @dataclass
 class PointPattern:
-    """A finite simple point configuration with provenance metadata."""
+    """A finite simple point configuration on the origin-centred disk of
+    radius ``window_radius``, with provenance metadata."""
 
     points: np.ndarray  # complex positions
-    window_center: complex
     window_radius: float
     process_kind: str
     beta: float
@@ -48,9 +48,6 @@ class PointPattern:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def count_in_disk(self, center: complex, radius: float) -> int:
-        return int(np.sum(np.abs(self.points - center) <= radius))
 
 
 _HEADER_RE = re.compile(
@@ -92,7 +89,6 @@ def read_pattern_csv(path: str | Path) -> PointPattern:
         pts.append(complex(float(xs), float(ys)))
     return PointPattern(
         points=np.array(pts, dtype=complex),
-        window_center=0j,
         window_radius=float(m.group("radius")),
         process_kind=m.group("kind"),
         beta=float(m.group("beta")),

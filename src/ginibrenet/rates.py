@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 from .fading import FadingSpec
 
-REGIME_KINDS = ("bounded", "weibull_super", "exponential", "subexp_family")
-
 _KIND_FOR_FADING = {
     "bounded": "bounded",
     "weibull_super": "weibull_super",
@@ -34,25 +32,18 @@ _KIND_FOR_FADING = {
 class LdpRegime:
     """A tail regime bound to a fading law and the attenuation pair (R, alpha)."""
 
-    kind: str
     fading: FadingSpec
     atten_R: float
     atten_alpha: float
 
     def __post_init__(self):
-        if self.kind not in REGIME_KINDS:
-            raise ValueError(f"unknown regime kind {self.kind!r}")
-        expected = _KIND_FOR_FADING[self.fading.kind]
-        if expected != self.kind:
-            raise ValueError(
-                f"fading kind {self.fading.kind!r} belongs to regime {expected!r}, "
-                f"not {self.kind!r}")
         if not (self.atten_R > 0 and self.atten_alpha > 2):
             raise ValueError("attenuation requires R > 0 and alpha > 2")
 
-    @classmethod
-    def from_fading(cls, fading: FadingSpec, atten_R: float, atten_alpha: float) -> "LdpRegime":
-        return cls(_KIND_FOR_FADING[fading.kind], fading, atten_R, atten_alpha)
+    @property
+    def kind(self) -> str:
+        """bounded, weibull_super, exponential or subexp_family, by fading kind."""
+        return _KIND_FOR_FADING[self.fading.kind]
 
     @property
     def r_alpha(self) -> float:

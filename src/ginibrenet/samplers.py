@@ -17,18 +17,17 @@ from scipy import special, stats
 
 from .errors import SamplerStallError
 from .patterns import PointPattern, RngStream
-from .spectral import DEFAULT_TOL, DiskRestriction, eigenvalues
+from .spectral import DiskRestriction, eigenvalues
 
 STALL_CAP = 1_000_000  # proposals per point before giving up with diagnostics
+KOSTLAN_ORDERS = (1, 2)  # the order statistics kostlan_validation tests
 
 
 def _sample_projection_points(radius: float, shift: int,
-                              rng: np.random.Generator,
-                              tol: float = DEFAULT_TOL) -> np.ndarray:
+                              rng: np.random.Generator) -> np.ndarray:
     """One realization of the (possibly Palm-shifted) Ginibre DPP on b(O, radius)."""
     rsq = radius * radius
-    kappa = eigenvalues(DiskRestriction(radius=radius,
-                                        palm_shift=bool(shift)), tol).values
+    kappa = eigenvalues(DiskRestriction(radius=radius, palm_shift=bool(shift)))
     ms = np.arange(shift, shift + len(kappa))
     active = ms[rng.random(len(kappa)) < kappa]
     k = len(active)
@@ -96,35 +95,33 @@ def _sample_projection_points(radius: float, shift: int,
     return points
 
 
-def sample_ginibre_disk(radius: float, rng: RngStream,
-                        tol: float = DEFAULT_TOL) -> PointPattern:
+def sample_ginibre_disk(radius: float, rng: RngStream) -> PointPattern:
     """Exact draw of the Ginibre determinantal process restricted to b(O, radius)."""
     if not radius > 0:
         raise ValueError("radius must be positive")
     gen = rng.generator()
-    pts = _sample_projection_points(radius, shift=0, rng=gen, tol=tol)
-    return PointPattern(points=pts, window_center=0j, window_radius=radius,
+    pts = _sample_projection_points(radius, shift=0, rng=gen)
+    return PointPattern(points=pts, window_radius=radius,
                         process_kind="ginibre", beta=1.0, seed=rng.master_seed)
 
 
-def sample_beta_ginibre(beta: float, window_radius: float, rng: RngStream,
-                        tol: float = DEFAULT_TOL) -> PointPattern:
+def sample_beta_ginibre(beta: float, window_radius: float,
+                        rng: RngStream) -> PointPattern:
     """Thin a Ginibre draw on the 1/sqrt(beta)-inflated disk, then shrink by sqrt(beta)."""
     if not (0 < beta <= 1):
         raise ValueError("beta must lie in (0, 1]")
     if not window_radius > 0:
         raise ValueError("window_radius must be positive")
     gen = rng.generator()
-    base = _sample_projection_points(window_radius / math.sqrt(beta), shift=0,
-                                     rng=gen, tol=tol)
+    base = _sample_projection_points(window_radius / math.sqrt(beta), shift=0, rng=gen)
     keep = gen.random(len(base)) < beta
-    return PointPattern(points=base[keep] * math.sqrt(beta), window_center=0j,
+    return PointPattern(points=base[keep] * math.sqrt(beta),
                         window_radius=window_radius, process_kind="beta_ginibre",
                         beta=beta, seed=rng.master_seed)
 
 
-def sample_palm_beta_ginibre(beta: float, window_radius: float, rng: RngStream,
-                             tol: float = DEFAULT_TOL) -> PointPattern:
+def sample_palm_beta_ginibre(beta: float, window_radius: float,
+                             rng: RngStream) -> PointPattern:
     """Reduced Palm version at the origin of the beta-Ginibre process.
 
     The reduced Palm kernel drops the constant eigenfunction (monomials z^m,
@@ -136,10 +133,9 @@ def sample_palm_beta_ginibre(beta: float, window_radius: float, rng: RngStream,
     if not window_radius > 0:
         raise ValueError("window_radius must be positive")
     gen = rng.generator()
-    base = _sample_projection_points(window_radius / math.sqrt(beta), shift=1,
-                                     rng=gen, tol=tol)
+    base = _sample_projection_points(window_radius / math.sqrt(beta), shift=1, rng=gen)
     keep = gen.random(len(base)) < beta
-    return PointPattern(points=base[keep] * math.sqrt(beta), window_center=0j,
+    return PointPattern(points=base[keep] * math.sqrt(beta),
                         window_radius=window_radius, process_kind="palm_beta_ginibre",
                         beta=beta, seed=rng.master_seed)
 
@@ -154,24 +150,25 @@ def sample_poisson(window_radius: float, intensity: float, rng: RngStream) -> Po
     n = gen.poisson(intensity * math.pi * window_radius ** 2)
     r = window_radius * np.sqrt(gen.random(n))
     angle = 2.0 * math.pi * gen.random(n)
-    return PointPattern(points=r * np.exp(1j * angle), window_center=0j,
+    return PointPattern(points=r * np.exp(1j * angle),
                         window_radius=window_radius, process_kind="poisson",
                         beta=1.0, seed=rng.master_seed)
 
 
 @dataclass
 class KostlanReport:
+    """KS statistics and p-values, one per order in ``KOSTLAN_ORDERS``."""
+
     radius: float
     n_reps: int
-    order_indices: tuple[int, ...]
     ks_statistics: tuple[float, ...]
     p_values: tuple[float, ...]
 
 
-def kostlan_validation(radius: float, n_reps: int, rng: RngStream,
-                       order_indices: tuple[int, ...] = (1, 2)) -> KostlanReport:
-    """Two-sample KS check of the smallest squared moduli against the
-    Gamma(i, 1) radial decomposition of the Ginibre process.
+def kostlan_validation(radius: float, n_reps: int, rng: RngStream) -> KostlanReport:
+    """Two-sample KS check of the i-th smallest squared moduli, i in
+    ``KOSTLAN_ORDERS``, against the Gamma(i, 1) radial decomposition of the
+    Ginibre process.
 
     A direct simulation of the independent-Gamma model provides the reference
     sample; the disk restriction must be wide enough that boundary truncation
@@ -180,12 +177,11 @@ def kostlan_validation(radius: float, n_reps: int, rng: RngStream,
     if n_reps <= 0:
         raise ValueError("n_reps must be positive")
     rsq = radius * radius
-    worst = max(order_indices)
-    if rsq < worst + 6.0 * math.sqrt(worst):
+    k = max(KOSTLAN_ORDERS)
+    if rsq < k + 6.0 * math.sqrt(k):
         raise ValueError(
-            f"radius {radius} too small for order statistic {worst}: "
+            f"radius {radius} too small for order statistic {k}: "
             f"need radius^2 >= i + 6 sqrt(i)")
-    k = max(order_indices)
     ginibre_stats = np.empty((n_reps, k))
     for rep in range(n_reps):
         pat = sample_ginibre_disk(radius, rng.substream(rep))
@@ -201,10 +197,9 @@ def kostlan_validation(radius: float, n_reps: int, rng: RngStream,
     kostlan_stats = np.sort(draws, axis=1)[:, :k]
 
     stats_out, pvals = [], []
-    for i in order_indices:
+    for i in KOSTLAN_ORDERS:
         res = stats.ks_2samp(ginibre_stats[:, i - 1], kostlan_stats[:, i - 1])
         stats_out.append(float(res.statistic))
         pvals.append(float(res.pvalue))
     return KostlanReport(radius=radius, n_reps=n_reps,
-                        order_indices=tuple(order_indices),
                         ks_statistics=tuple(stats_out), p_values=tuple(pvals))

@@ -34,19 +34,20 @@ _HARD_CAP_OFFSET = 64
 # log-eigenvalue level below which gammainc has lost its precision
 _TAIL_MARGIN = 64
 _LOG_UNDERFLOW = math.log(1e-290)
+# tilts over which minimized_chernoff_bound searches: log-spaced and wide
+# enough that the optimum is interior for moderate tail levels
+_THETA_GRID = np.geomspace(1e-2, 1e3, 300)
 
 
 @dataclass(frozen=True)
 class DiskRestriction:
     """Ginibre kernel restricted to a disk, possibly Palm-reduced and thinned.
 
-    ``palm_shift`` drops the constant eigenfunction (reduced Palm kernel at
-    the origin); ``beta`` applies independent thinning spectrally.  Counts in
-    off-center disks of the stationary process are distributionally identical
-    to the centered ones, so only the radius enters the spectrum.
+    The disk is centred at the origin.  ``palm_shift`` drops the constant
+    eigenfunction (reduced Palm kernel at the origin); ``beta`` applies
+    independent thinning spectrally.
     """
 
-    center: complex = 0j
     radius: float = 1.0
     palm_shift: bool = False
     beta: float = 1.0
@@ -61,16 +62,6 @@ class DiskRestriction:
     def scaled_radius_sq(self) -> float:
         """Squared radius of the disk mapped through the 1/sqrt(beta) scaling."""
         return self.radius ** 2 / self.beta
-
-
-@dataclass(frozen=True)
-class EigenvalueSeq:
-    values: np.ndarray
-    truncation_tol: float
-    truncation_index: int
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def disk_eigenvalue(m: int, radius: float) -> float:
@@ -107,27 +98,25 @@ def _eigenvalue_cache(radius_sq: float, beta: float, shift: int,
     return tuple(vals[:keep])
 
 
-def eigenvalues(restriction: DiskRestriction, tol: float = DEFAULT_TOL) -> EigenvalueSeq:
+def eigenvalues(restriction: DiskRestriction, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Thinning-scaled eigenvalue sequence, truncated once values drop below tol."""
     if not (0 < tol < 1):
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     shift = 1 if restriction.palm_shift else 0
-    vals = np.array(_eigenvalue_cache(restriction.scaled_radius_sq,
+    return np.array(_eigenvalue_cache(restriction.scaled_radius_sq,
                                       restriction.beta, shift, tol))
-    return EigenvalueSeq(values=vals, truncation_tol=tol, truncation_index=len(vals))
 
 
 def trace_bound(restriction: DiskRestriction, tol: float = DEFAULT_TOL) -> float:
     """Sum of the eigenvalue sequence; equals radius^2 for the non-Palm kernel."""
-    return float(np.sum(eigenvalues(restriction, tol).values))
+    return float(np.sum(eigenvalues(restriction, tol)))
 
 
-def laplace_bound(restriction: DiskRestriction, theta: float,
-                  tol: float = DEFAULT_TOL) -> float:
+def laplace_bound(restriction: DiskRestriction, theta: float) -> float:
     """prod_m (1 + (e^theta - 1) kappa_m), evaluated in log space."""
     if theta < 0:
         raise ValueError(f"theta must be nonnegative, got {theta}")
-    vals = eigenvalues(restriction, tol).values
+    vals = eigenvalues(restriction)
     return float(np.exp(np.sum(np.log1p(np.expm1(theta) * vals))))
 
 
@@ -140,7 +129,7 @@ def count_distribution(restriction: DiskRestriction, max_n: int,
     """
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
-    vals = eigenvalues(restriction, tol).values
+    vals = eigenvalues(restriction, tol)
     pmf = np.zeros(len(vals) + 1)
     pmf[0] = 1.0
     for p in vals:
@@ -207,8 +196,8 @@ def joint_intensity(points: list[complex]) -> float:
     return float(max(det, 0.0) * math.exp(np.sum(sq)))
 
 
-def chernoff_tail_bound(model: "NetworkModel", x: float, eps: float, theta: float,
-                        tol: float = DEFAULT_TOL) -> float:
+def chernoff_tail_bound(model: "NetworkModel", x: float, eps: float,
+                        theta: float) -> float:
     """Rigorous upper bound on P(eps * I_Lambda >= x) via mark-MGF tilting.
 
     Uses the enclosing disk b(O, Rtilde) around the origin, its thinned
@@ -219,7 +208,7 @@ def chernoff_tail_bound(model: "NetworkModel", x: float, eps: float, theta: floa
         raise ValueError("x, eps and theta must all be positive")
     r_enclose = abs(model.window.center) + model.window.radius
     restriction = DiskRestriction(radius=r_enclose, beta=model.beta, palm_shift=False)
-    vals = eigenvalues(restriction, tol).values
+    vals = eigenvalues(restriction)
     s = theta * eps * model.atten_R ** (-model.atten_alpha)
     log_m = model.fading.log_mgf(s)
     with np.errstate(divide="ignore"):
@@ -228,20 +217,15 @@ def chernoff_tail_bound(model: "NetworkModel", x: float, eps: float, theta: floa
     return float(min(1.0, np.exp(min(log_bound, 0.0))))
 
 
-def minimized_chernoff_bound(model: "NetworkModel", x: float, eps: float,
-                             theta_grid: np.ndarray | None = None
-                             ) -> tuple[float, float]:
+def minimized_chernoff_bound(model: "NetworkModel", x: float,
+                             eps: float) -> tuple[float, float]:
     """Minimum of the Chernoff bound over a grid of positive tilts.
 
-    Returns (bound, minimizing theta).  The default grid is log-spaced and
-    wide enough that the optimum is interior for moderate tail levels.
+    Returns (bound, minimizing theta); theta is 0 when no tilt on the grid
+    brings the bound below 1.
     """
-    if theta_grid is None:
-        theta_grid = np.geomspace(1e-2, 1e3, 300)
     best, best_theta = 1.0, 0.0
-    for theta in np.asarray(theta_grid, dtype=float):
-        if theta <= 0:
-            continue
+    for theta in _THETA_GRID:
         try:
             val = chernoff_tail_bound(model, x, eps, theta)
         except MgfDivergenceError:

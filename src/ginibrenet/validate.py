@@ -20,7 +20,7 @@ from .interference import DiskWindow, NetworkModel
 from .patterns import RngStream
 from .rates import (LdpRegime, poisson_comparison, rate, speed,
                     weibull_rate_constant)
-from .samplers import (kostlan_validation, sample_beta_ginibre,
+from .samplers import (KOSTLAN_ORDERS, kostlan_validation, sample_beta_ginibre,
                        sample_ginibre_disk, sample_palm_beta_ginibre)
 from .spectral import (DiskRestriction, count_distribution, eigenvalues,
                        log_count_tail, minimized_chernoff_bound, trace_bound)
@@ -80,20 +80,9 @@ def two_sample_count_chisquare(a: np.ndarray, b: np.ndarray) -> float:
     top = int(max(a.max(), b.max()))
     ha = np.bincount(a, minlength=top + 1).astype(float)
     hb = np.bincount(b, minlength=top + 1).astype(float)
-    pooled_a, pooled_b = [], []
-    a_acc = b_acc = 0.0
-    for oa, ob in zip(ha, hb):
-        a_acc += oa
-        b_acc += ob
-        if a_acc + b_acc >= 10.0:
-            pooled_a.append(a_acc)
-            pooled_b.append(b_acc)
-            a_acc = b_acc = 0.0
-    if (a_acc or b_acc) and pooled_a:
-        pooled_a[-1] += a_acc
-        pooled_b[-1] += b_acc
-    table = np.array([pooled_a, pooled_b])
-    table = table[:, table.sum(axis=0) > 0]
+    # pool on the combined count, so every column holds at least 10
+    pooled_a, pooled = _pool_bins(ha, ha + hb, 10.0)
+    table = np.array([pooled_a, pooled - pooled_a])
     if table.shape[1] < 2:
         return 1.0
     return float(stats.chi2_contingency(table)[1])
@@ -107,7 +96,7 @@ def check_spectral_exactness(quick: bool = False) -> CheckResult:
     worst = 0.0
     monotone = True
     for r in (0.5, 1.0, 2.0, 5.0):
-        seq = eigenvalues(DiskRestriction(radius=r), tol=1e-18).values
+        seq = eigenvalues(DiskRestriction(radius=r), tol=1e-18)
         worst = max(worst, abs(float(np.sum(seq)) - r * r))
         monotone &= bool(np.all(np.diff(seq) < 0))
     passed = worst < 1e-9 and monotone
@@ -178,7 +167,7 @@ def check_kostlan(quick: bool = False) -> CheckResult:
     report = kostlan_validation(6.0, n_reps, RngStream(MASTER_SEED, 300))
     ok = all(p > 0.01 for p in report.p_values)
     detail = ", ".join(f"order {i}: p={p:.4f}"
-                       for i, p in zip(report.order_indices, report.p_values))
+                       for i, p in zip(KOSTLAN_ORDERS, report.p_values))
     return _result("kostlan", ok, detail, t0)
 
 
@@ -190,7 +179,7 @@ def check_variance_contrast(quick: bool = False) -> CheckResult:
     stream = RngStream(MASTER_SEED, 400)
     counts = np.array([len(sample_ginibre_disk(radius, stream.substream(rep)))
                        for rep in range(n_reps)])
-    kappa = eigenvalues(DiskRestriction(radius=radius)).values
+    kappa = eigenvalues(DiskRestriction(radius=radius))
     exact_var = float(np.sum(kappa * (1.0 - kappa)))
     emp_var = float(np.var(counts, ddof=1))
     rel = abs(emp_var - exact_var) / exact_var
@@ -234,7 +223,7 @@ def check_exponential_slope(quick: bool = False) -> CheckResult:
     """Tilted-estimator slope regression against the -c R^alpha limit."""
     t0 = time.perf_counter()
     model = _exponential_model()
-    regime = LdpRegime.from_fading(model.fading, model.atten_R, model.atten_alpha)
+    regime = LdpRegime(model.fading, model.atten_R, model.atten_alpha)
     if quick:
         x_grid, n_reps = [7.0, 9.0, 11.0, 13.0], 3000
     else:
@@ -290,20 +279,19 @@ def check_rate_table(quick: bool = False) -> CheckResult:
     t0 = time.perf_counter()
     checks = []
 
-    bounded = LdpRegime.from_fading(FadingSpec(kind="bounded", bound=2.0), 1.0, 2.5)
+    bounded = LdpRegime(FadingSpec(kind="bounded", bound=2.0), 1.0, 2.5)
     checks.append(("bounded rate", rate(bounded, 2.0), 1.0 * 4.0 / (2 * 4.0)))
     checks.append(("bounded speed", speed(bounded, 0.1), math.log(10.0) / 0.01))
 
-    expo = LdpRegime.from_fading(FadingSpec(kind="exponential", c=2.0), 1.0, 3.0)
+    expo = LdpRegime(FadingSpec(kind="exponential", c=2.0), 1.0, 3.0)
     checks.append(("exponential rate", rate(expo, 3.0), 6.0))
     checks.append(("exponential speed", speed(expo, 0.01), 100.0))
 
-    weib = LdpRegime.from_fading(FadingSpec(kind="weibull_super", c=1.0, gamma=2.0),
-                                 1.0, 3.0)
+    weib = LdpRegime(FadingSpec(kind="weibull_super", c=1.0, gamma=2.0), 1.0, 3.0)
     checks.append(("weibull rate", rate(weib, 1.0),
                    0.5 * 2.0 ** (1.0 / 3.0) * 3.0 ** (2.0 / 3.0)))
 
-    par = LdpRegime.from_fading(FadingSpec(kind="pareto", c=2.0), 1.0, 3.0)
+    par = LdpRegime(FadingSpec(kind="pareto", c=2.0), 1.0, 3.0)
     checks.append(("pareto speed", speed(par, 0.01), 2.0 * math.log(101.0)))
     checks.append(("pareto rate origin", rate(par, 0.0), 0.0))
 
@@ -311,8 +299,7 @@ def check_rate_table(quick: bool = False) -> CheckResult:
     g = 1.001
     gin = weibull_rate_constant(1.0, g, 1.0)
     poi = abs(poisson_comparison(
-        LdpRegime.from_fading(FadingSpec(kind="weibull_super", c=1.0, gamma=g),
-                              1.0, 3.0)))
+        LdpRegime(FadingSpec(kind="weibull_super", c=1.0, gamma=g), 1.0, 3.0)))
     conv = abs(gin - poi) / poi
     ok = worst < 1e-12 and conv < 0.02
     return _result("rate_table", ok,

@@ -43,8 +43,9 @@ def test_04_kostlan_check():
     _run(validate.check_kostlan, 120.0)
 
 
-def test_05_super_poissonian_contrast():
-    # variance within 5% of sum kappa(1-kappa) and < 60% of Poisson's 25; < 1 min
+def test_05_sub_poissonian_contrast():
+    # sub-Poissonian: variance within 5% of sum kappa(1-kappa) and below 60%
+    # of Poisson's 25; < 1 min
     _run(validate.check_variance_contrast, 60.0)
 
 

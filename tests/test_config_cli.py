@@ -1,6 +1,7 @@
 """Config parsing and the command-line front-end (exit codes, file formats)."""
 import csv
 import math
+import re
 import subprocess
 import sys
 
@@ -77,17 +78,20 @@ class TestConfig:
         p.write_text(GOOD_CONFIG)
         assert load_config(p, seed_override=99).plan.seed == 99
 
-    def test_old_output_formats_key_still_loads(self, tmp_path):
-        # [output] formats is no longer read; configs that set it still load
-        p = tmp_path / "exp.ini"
-        p.write_text(GOOD_CONFIG + f"\n[output]\ndirectory = {tmp_path}\nformats = csv\n")
-        assert load_config(p).output_dir == tmp_path
-
-    def test_old_split_key_still_loads(self, tmp_path):
-        # single_jump no longer has a threshold; configs that set it still load
-        p = tmp_path / "sj.ini"
-        p.write_text(GOOD_CONFIG.replace("seed = 7", "seed = 7\nsplit = 2.0"))
-        assert load_config(p).plan.seed == 7
+    @pytest.mark.parametrize("extra", [
+        "[output]\nformats = csv",
+        "split = 2.0",  # lands in [estimation], the last section of GOOD_CONFIG
+        "[noise]\nw = -1",
+        "[threshold]\ntau = 0",
+    ], ids=["formats", "split", "w", "tau"])
+    def test_unread_key_still_loads(self, tmp_path, extra):
+        # keys that nothing reads, even with values a reader would reject:
+        # the config loads as if they were absent
+        good, old = tmp_path / "good.ini", tmp_path / "old.ini"
+        good.write_text(GOOD_CONFIG)
+        old.write_text(GOOD_CONFIG + extra + "\n")
+        assert load_config(old).model == load_config(good).model
+        assert load_config(old).plan == load_config(good).plan
 
 
 class TestCliSample:
@@ -131,6 +135,35 @@ class TestCliSample:
         with pytest.raises(SystemExit) as exc:
             main(["validate", "--bogus"])
         assert exc.value.code == 2
+
+
+class TestSeedInput:
+    @pytest.mark.parametrize("case, message", [
+        ("config", r"exp\.ini:\d+: \[estimation\] seed: must be non-negative"),
+        ("flag", r"argument --seed: must be non-negative, got -1"),
+        ("env", r"^error: GINIBRENET_SEED: not an integer: 'abc'$"),
+    ], ids=["config", "flag", "env"])
+    def test_bad_seed_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
+                                       case, message):
+        out = tmp_path / "out"
+        cfg = tmp_path / "exp.ini"
+        seed = "-1" if case == "config" else "7"
+        cfg.write_text(GOOD_CONFIG.replace("seed = 7", f"seed = {seed}")
+                       + f"\n[output]\ndirectory = {out}\n")
+        argv = ["estimate", "--config", str(cfg)]
+        if case == "flag":
+            argv += ["--seed", "-1"]
+        if case == "env":
+            monkeypatch.setenv("GINIBRENET_SEED", "abc")
+            argv = ["sample", "--process", "ginibre", "--radius", "2",
+                    "--out", str(out / "pat.csv")]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        assert code == 2
+        assert re.search(message, capsys.readouterr().err.strip())
+        assert not out.exists()
 
 
 class TestCliRates:

@@ -21,7 +21,7 @@ def model(receiver=0j, radius=2.0, R=1.0, alpha=4.0, w=1.0, tau=1.0):
 
 
 def marked(points, marks, radius=2.0):
-    pat = PointPattern(points=np.asarray(points, complex), window_center=0j,
+    pat = PointPattern(points=np.asarray(points, complex),
                        window_radius=radius, process_kind="poisson",
                        beta=1.0, seed=0)
     return MarkedPattern(pat, np.asarray(marks, float))

@@ -26,7 +26,7 @@ class TestPatternCsv:
     def _pattern(self):
         rng = RngStream(42).generator()
         pts = rng.normal(size=25) + 1j * rng.normal(size=25)
-        return PointPattern(points=pts, window_center=0j, window_radius=3.0,
+        return PointPattern(points=pts, window_radius=3.0,
                             process_kind="ginibre", beta=1.0, seed=42)
 
     def test_round_trip_bit_exact(self, tmp_path):
@@ -41,7 +41,7 @@ class TestPatternCsv:
         assert back.seed == pat.seed
 
     def test_empty_pattern_round_trip(self, tmp_path):
-        pat = PointPattern(points=np.empty(0, complex), window_center=0j,
+        pat = PointPattern(points=np.empty(0, complex),
                            window_radius=1.0, process_kind="poisson",
                            beta=1.0, seed=0)
         path = tmp_path / "empty.csv"
@@ -59,12 +59,5 @@ class TestPatternCsv:
 
     def test_unknown_process_kind_rejected(self):
         with pytest.raises(ValueError, match="process kind"):
-            PointPattern(points=np.empty(0, complex), window_center=0j,
-                         window_radius=1.0, process_kind="grid", beta=1.0, seed=0)
-
-    def test_count_in_disk(self):
-        pat = PointPattern(points=np.array([0j, 1 + 0j, 3 + 0j]),
-                           window_center=0j, window_radius=5.0,
-                           process_kind="poisson", beta=1.0, seed=0)
-        assert pat.count_in_disk(0j, 1.0) == 2
-        assert pat.count_in_disk(3 + 0j, 0.5) == 1
+            PointPattern(points=np.empty(0, complex), window_radius=1.0,
+                         process_kind="grid", beta=1.0, seed=0)

@@ -14,7 +14,7 @@ from ginibrenet.rates import (LdpRegime, growth_function, poisson_comparison,
 def regime(kind, **kw):
     atten_R = kw.pop("atten_R", 1.0)
     atten_alpha = kw.pop("atten_alpha", 3.0)
-    return LdpRegime.from_fading(FadingSpec(kind=kind, **kw), atten_R, atten_alpha)
+    return LdpRegime(FadingSpec(kind=kind, **kw), atten_R, atten_alpha)
 
 
 class TestRegimeConstruction:
@@ -25,13 +25,9 @@ class TestRegimeConstruction:
         assert regime("weibull_sub", c=1.0, gamma=0.5).kind == "subexp_family"
         assert regime("pareto", c=2.0).kind == "subexp_family"
 
-    def test_mismatched_kind_rejected(self):
-        with pytest.raises(ValueError, match="belongs to regime"):
-            LdpRegime("exponential", FadingSpec(kind="pareto", c=2.0), 1.0, 3.0)
-
     def test_attenuation_validation(self):
         with pytest.raises(ValueError):
-            LdpRegime.from_fading(FadingSpec(kind="exponential", c=1.0), 1.0, 2.0)
+            LdpRegime(FadingSpec(kind="exponential", c=1.0), 1.0, 2.0)
 
 
 class TestRateValues:

@@ -11,9 +11,9 @@ import pytest
 from scipy import stats
 
 from ginibrenet.patterns import RngStream
-from ginibrenet.samplers import (kostlan_validation, sample_beta_ginibre,
-                                 sample_ginibre_disk, sample_palm_beta_ginibre,
-                                 sample_poisson)
+from ginibrenet.samplers import (KOSTLAN_ORDERS, kostlan_validation,
+                                 sample_beta_ginibre, sample_ginibre_disk,
+                                 sample_palm_beta_ginibre, sample_poisson)
 from ginibrenet.spectral import DiskRestriction, count_distribution, trace_bound
 from ginibrenet.validate import chisquare_vs_pmf
 
@@ -126,10 +126,11 @@ class TestPalmCountLaw:
 class TestKostlan:
     def test_precondition_on_radius(self):
         with pytest.raises(ValueError, match="too small"):
-            kostlan_validation(1.0, 10, RngStream(0), order_indices=(1, 2))
+            kostlan_validation(1.0, 10, RngStream(0))
 
     def test_report_shape(self):
-        rep = kostlan_validation(4.0, 200, RngStream(50), order_indices=(1,))
-        assert rep.order_indices == (1,)
-        assert len(rep.p_values) == 1
-        assert 0.0 <= rep.p_values[0] <= 1.0
+        # one KS statistic and p-value per tested order, (1, 2)
+        assert KOSTLAN_ORDERS == (1, 2)
+        rep = kostlan_validation(4.0, 200, RngStream(50))
+        assert len(rep.ks_statistics) == len(rep.p_values) == 2
+        assert all(0.0 <= p <= 1.0 for p in rep.p_values)

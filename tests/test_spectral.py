@@ -33,8 +33,8 @@ class TestEigenvalues:
 
     def test_thinned_leading_eigenvalue(self):
         # beta kappa_0(r / sqrt(beta)) = 0.5 (1 - e^-2) at beta=0.5, r=1
-        seq = eigenvalues(DiskRestriction(radius=1.0, beta=0.5))
-        assert seq.values[0] == pytest.approx(0.43233235838169365, abs=1e-15)
+        vals = eigenvalues(DiskRestriction(radius=1.0, beta=0.5))
+        assert vals[0] == pytest.approx(0.43233235838169365, abs=1e-15)
 
     def test_trace_identity(self):
         for r in (0.5, 1.0, 2.0, 5.0):
@@ -49,7 +49,7 @@ class TestEigenvalues:
     @given(r=st.floats(0.3, 6.0), beta=st.floats(0.1, 1.0))
     @settings(max_examples=40, deadline=None)
     def test_sequence_decreasing_in_unit_interval(self, r, beta):
-        vals = eigenvalues(DiskRestriction(radius=r, beta=beta)).values
+        vals = eigenvalues(DiskRestriction(radius=r, beta=beta))
         assert np.all(vals > 0) and np.all(vals <= beta)
         assert np.all(np.diff(vals) <= 0)
         # strict decrease wherever double precision can resolve the gap
@@ -84,7 +84,7 @@ class TestCountDistribution:
         pmf = count_distribution(restriction, 60)
         ks = np.arange(61)
         var = float(np.sum(ks ** 2 * pmf) - np.sum(ks * pmf) ** 2)
-        kappa = eigenvalues(restriction).values
+        kappa = eigenvalues(restriction)
         assert var == pytest.approx(float(np.sum(kappa * (1 - kappa))), abs=1e-9)
 
     def test_log_tail_matches_linear_dp(self):
