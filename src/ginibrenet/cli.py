@@ -1,9 +1,10 @@
 """Command-line front-end: sample patterns, run estimates, print rate tables,
 and execute the validation suite.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error.  The environment
-variable GINIBRENET_SEED supplies a fallback seed when --seed is absent.
-Every command is deterministic given its seed.
+Exit codes: 0 success, 1 runtime failure, 2 usage error.  Without --seed,
+sample takes its seed from the environment variable GINIBRENET_SEED (else 0)
+and estimate takes the config's [estimation] seed.  Every command is
+deterministic given its seed.
 """
 from __future__ import annotations
 
@@ -51,11 +52,6 @@ def _resolve_seed(args) -> int:
         raise SystemExit(2)
 
 
-def _add_seed(parser):
-    parser.add_argument("--seed", type=_seed, default=None,
-                        help="master seed (fallback: GINIBRENET_SEED, then 0)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ginibrenet",
@@ -74,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="disk radius (positive)")
     p_sample.add_argument("--out", type=Path, default=None,
                           help="output CSV path (default: stdout)")
-    _add_seed(p_sample)
+    p_sample.add_argument("--seed", type=_seed, default=None,
+                          help="master seed (fallback: GINIBRENET_SEED, then 0)")
 
     p_est = sub.add_parser(
         "estimate", help="run the configured tail estimator over a grid",
@@ -84,7 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "and write estimates.csv plus slope.csv to the output "
                     "directory.")
     p_est.add_argument("--config", type=Path, required=True)
-    _add_seed(p_est)
+    p_est.add_argument("--seed", type=_seed, default=None,
+                       help="master seed (default: the config's [estimation] "
+                            "seed, itself 0 by default)")
 
     p_rates = sub.add_parser(
         "rates", help="print closed-form rate/speed/asymptote tables",
@@ -97,7 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bounded-fading supremum B")
     p_rates.add_argument("--atten-R", type=float, default=1.0)
     p_rates.add_argument("--atten-alpha", type=float, default=4.0)
-    p_rates.add_argument("--x", type=float, nargs="+", default=[1.0, 2.0, 4.0])
+    p_rates.add_argument("--x", type=float, nargs="+", default=[2.0, 4.0, 8.0],
+                         help="levels (the bounded and weibull_super "
+                              "asymptotes need x > 1)")
     p_rates.add_argument("--eps", type=float, nargs="+", default=[0.1, 0.01])
     p_rates.add_argument("--compare-poisson", action="store_true",
                          help="also print the Poisson-network limit constant")

@@ -100,7 +100,10 @@ def speed(regime: LdpRegime, eps: float) -> float:
 
 
 def growth_function(regime: LdpRegime, x: float) -> float:
-    """Leading-order growth of log P(I >= x) against which slopes are fitted."""
+    """Leading-order growth of log P(I >= x) against which slopes are fitted;
+    the bounded and weibull_super ones carry log x, so they need x > 1."""
+    if regime.kind in ("bounded", "weibull_super") and not x > 1:
+        raise ValueError(f"the {regime.kind} growth function needs x > 1, got {x}")
     if regime.kind == "bounded":
         return x * x * math.log(x)
     if regime.kind == "weibull_super":

@@ -6,6 +6,10 @@ points sequentially from the induced projection process.  Proposals come from
 the eigenfunction mixture (a truncated Gamma radius plus a uniform angle) and
 are accepted with the residual-kernel ratio after projecting out the feature
 vectors of the points already placed.
+
+Thinning acts on the spectrum: the beta samplers draw the eigenfunctions from
+the beta-thinned spectrum (see ``spectral``) and shrink the points by
+sqrt(beta), so no point is placed and then discarded.
 """
 from __future__ import annotations
 
@@ -23,11 +27,13 @@ STALL_CAP = 1_000_000  # proposals per point before giving up with diagnostics
 KOSTLAN_ORDERS = (1, 2)  # the order statistics kostlan_validation tests
 
 
-def _sample_projection_points(radius: float, shift: int,
+def _sample_projection_points(restriction: DiskRestriction,
                               rng: np.random.Generator) -> np.ndarray:
-    """One realization of the (possibly Palm-shifted) Ginibre DPP on b(O, radius)."""
-    rsq = radius * radius
-    kappa = eigenvalues(DiskRestriction(radius=radius, palm_shift=bool(shift)))
+    """One realization of the determinantal process of ``restriction``: its
+    eigenfunctions placed on the 1/sqrt(beta)-inflated disk, shrunk by sqrt(beta)."""
+    rsq = restriction.scaled_radius_sq
+    kappa = eigenvalues(restriction)
+    shift = 1 if restriction.palm_shift else 0
     ms = np.arange(shift, shift + len(kappa))
     active = ms[rng.random(len(kappa)) < kappa]
     k = len(active)
@@ -49,7 +55,8 @@ def _sample_projection_points(radius: float, shift: int,
             raise SamplerStallError(
                 "sampler stall: rejection loop exceeded the proposal cap",
                 diagnostics={
-                    "radius": radius, "shift": shift, "target_points": k,
+                    "radius": restriction.radius, "beta": restriction.beta,
+                    "palm_shift": restriction.palm_shift, "target_points": k,
                     "placed": n_placed, "proposals": proposals,
                 })
         # propose a vectorized batch from the eigenfunction mixture; the
@@ -92,30 +99,22 @@ def _sample_projection_points(radius: float, shift: int,
             n_placed += 1
             if n_placed == k:
                 break
-    return points
+    return points * math.sqrt(restriction.beta)
 
 
 def sample_ginibre_disk(radius: float, rng: RngStream) -> PointPattern:
     """Exact draw of the Ginibre determinantal process restricted to b(O, radius)."""
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    gen = rng.generator()
-    pts = _sample_projection_points(radius, shift=0, rng=gen)
-    return PointPattern(points=pts, window_radius=radius,
-                        process_kind="ginibre", beta=1.0, seed=rng.master_seed)
+    pts = _sample_projection_points(DiskRestriction(radius=radius), rng.generator())
+    return PointPattern(points=pts, window_radius=radius, process_kind="ginibre",
+                        beta=1.0, seed=rng.master_seed)
 
 
 def sample_beta_ginibre(beta: float, window_radius: float,
                         rng: RngStream) -> PointPattern:
-    """Thin a Ginibre draw on the 1/sqrt(beta)-inflated disk, then shrink by sqrt(beta)."""
-    if not (0 < beta <= 1):
-        raise ValueError("beta must lie in (0, 1]")
-    if not window_radius > 0:
-        raise ValueError("window_radius must be positive")
-    gen = rng.generator()
-    base = _sample_projection_points(window_radius / math.sqrt(beta), shift=0, rng=gen)
-    keep = gen.random(len(base)) < beta
-    return PointPattern(points=base[keep] * math.sqrt(beta),
+    """Exact draw of the Ginibre process thinned with retention beta and shrunk
+    by sqrt(beta), restricted to b(O, window_radius)."""
+    restriction = DiskRestriction(radius=window_radius, beta=beta)
+    return PointPattern(points=_sample_projection_points(restriction, rng.generator()),
                         window_radius=window_radius, process_kind="beta_ginibre",
                         beta=beta, seed=rng.master_seed)
 
@@ -125,17 +124,10 @@ def sample_palm_beta_ginibre(beta: float, window_radius: float,
     """Reduced Palm version at the origin of the beta-Ginibre process.
 
     The reduced Palm kernel drops the constant eigenfunction (monomials z^m,
-    m >= 1); thinning and sqrt(beta) scaling are then applied as for the
-    unconditioned process.  The origin itself is never among the points.
+    m >= 1).  The origin itself is never among the points.
     """
-    if not (0 < beta <= 1):
-        raise ValueError("beta must lie in (0, 1]")
-    if not window_radius > 0:
-        raise ValueError("window_radius must be positive")
-    gen = rng.generator()
-    base = _sample_projection_points(window_radius / math.sqrt(beta), shift=1, rng=gen)
-    keep = gen.random(len(base)) < beta
-    return PointPattern(points=base[keep] * math.sqrt(beta),
+    restriction = DiskRestriction(radius=window_radius, beta=beta, palm_shift=True)
+    return PointPattern(points=_sample_projection_points(restriction, rng.generator()),
                         window_radius=window_radius, process_kind="palm_beta_ginibre",
                         beta=beta, seed=rng.master_seed)
 

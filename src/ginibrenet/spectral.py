@@ -61,7 +61,7 @@ class DiskRestriction:
     @property
     def scaled_radius_sq(self) -> float:
         """Squared radius of the disk mapped through the 1/sqrt(beta) scaling."""
-        return self.radius ** 2 / self.beta
+        return self.radius * self.radius / self.beta  # libm's ** 2 can be 1 ulp off
 
 
 def disk_eigenvalue(m: int, radius: float) -> float:
@@ -122,7 +122,7 @@ def laplace_bound(restriction: DiskRestriction, theta: float) -> float:
 
 def count_distribution(restriction: DiskRestriction, max_n: int,
                        tol: float = DEFAULT_TOL) -> np.ndarray:
-    """P(N = k), k = 0..max_n, by exact Poisson-binomial convolution.
+    """P(N = k), k = 0..max_n, the exact Poisson-binomial law of the count.
 
     The count of a determinantal process in a window is a sum of independent
     Bernoulli(kappa_m) variables over the window's eigenvalues.
@@ -130,15 +130,9 @@ def count_distribution(restriction: DiskRestriction, max_n: int,
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
     vals = eigenvalues(restriction, tol)
-    pmf = np.zeros(len(vals) + 1)
-    pmf[0] = 1.0
-    for p in vals:
-        pmf[1:] = pmf[1:] * (1 - p) + pmf[:-1] * p
-        pmf[0] *= 1 - p
-    out = np.zeros(max_n + 1)
-    upto = min(max_n + 1, len(pmf))
-    out[:upto] = pmf[:upto]
-    return out
+    if len(vals) == 0:  # poisson_binom needs one p; a Bernoulli(0) adds nothing
+        vals = np.zeros(1)
+    return stats.poisson_binom(vals).pmf(np.arange(max_n + 1))
 
 
 def log_count_tail(restriction: DiskRestriction, m: int) -> float:

@@ -182,6 +182,17 @@ class TestCliRates:
         out = capsys.readouterr().out
         assert "-0.5" in out and "-1" in out
 
+    @pytest.mark.parametrize("fading", [
+        ["bounded", "--bound", "3"],
+        ["weibull_super", "--gamma", "2", "--c", "2.5"],
+    ], ids=["bounded", "weibull_super"])
+    def test_log_growth_below_one_exit_2(self, capsys, fading):
+        # x^2 log x and its Weibull analogue are not positive at x <= 1
+        code = main(["rates", "--fading", *fading, "--atten-R", "1.5",
+                     "--atten-alpha", "3", "--x", "0.5"])
+        assert code == 2
+        assert "x > 1" in capsys.readouterr().err
+
     def test_compare_poisson_insensitive_regime(self, capsys):
         code = main(["rates", "--fading", "exponential", "--c", "1",
                      "--compare-poisson"])
@@ -217,6 +228,14 @@ class TestCliEstimate:
         assert len(kept) == 3
         for x, log_p, _ in kept:
             assert float(log_p) == math.log(p[float(x)])
+
+    def test_env_seed_does_not_override_config_seed(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(GOOD_CONFIG + f"\n[output]\ndirectory = {tmp_path}/out\n")
+        monkeypatch.setenv("GINIBRENET_SEED", "123")
+        assert main(["estimate", "--config", str(cfg)]) == 0
+        with (tmp_path / "out" / "estimates.csv").open(newline="") as fh:
+            assert {row["seed"] for row in csv.DictReader(fh)} == {"7"}
 
     def test_missing_section_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"

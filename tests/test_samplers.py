@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ginibrenet import samplers
+from ginibrenet.errors import SamplerStallError
 from ginibrenet.patterns import RngStream
 from ginibrenet.samplers import (KOSTLAN_ORDERS, kostlan_validation,
                                  sample_beta_ginibre, sample_ginibre_disk,
@@ -61,6 +63,14 @@ class TestGeometry:
             sample_beta_ginibre(0.0, 1.0, RngStream(0))
         with pytest.raises(ValueError):
             sample_palm_beta_ginibre(1.2, 1.0, RngStream(0))
+
+    def test_stall_diagnostics_name_the_restriction(self, monkeypatch):
+        monkeypatch.setattr(samplers, "STALL_CAP", -1)  # stall before any proposal
+        with pytest.raises(SamplerStallError) as exc:
+            sample_palm_beta_ginibre(0.5, 3.0, RngStream(0))
+        diag = exc.value.diagnostics
+        assert (diag["radius"], diag["beta"], diag["palm_shift"]) == (3.0, 0.5, True)
+        assert diag["placed"] == 0 < diag["target_points"]
 
 
 class TestCountMoments:
@@ -120,6 +130,26 @@ class TestPalmCountLaw:
                            for i in range(4000)])
         pmf = count_distribution(
             DiskRestriction(radius=radius, beta=beta, palm_shift=True), 30)
+        assert chisquare_vs_pmf(counts, pmf) > 0.01
+
+
+class TestSubBallCountLaw:
+    @pytest.mark.parametrize("sampler, palm, beta, seed", [
+        (sample_beta_ginibre, False, 0.1, 71),
+        (sample_beta_ginibre, False, 0.5, 72),
+        (sample_palm_beta_ginibre, True, 0.1, 73),
+        (sample_palm_beta_ginibre, True, 0.5, 74),
+    ], ids=["beta0.1", "beta0.5", "palm-beta0.1", "palm-beta0.5"])
+    def test_half_radius_counts_match_exact_law(self, sampler, palm, beta, seed):
+        # the count in b(0, r/2) reads the radial profile and the sqrt(beta)
+        # shrink, which the window count alone cannot see
+        radius = 2.0
+        counts = np.array([
+            np.sum(np.abs(sampler(beta, radius, RngStream(seed, i)).points)
+                   <= radius / 2)
+            for i in range(3000)])
+        pmf = count_distribution(
+            DiskRestriction(radius=radius / 2, beta=beta, palm_shift=palm), 30)
         assert chisquare_vs_pmf(counts, pmf) > 0.01
 
 

@@ -87,6 +87,11 @@ class TestCountDistribution:
         kappa = eigenvalues(restriction)
         assert var == pytest.approx(float(np.sum(kappa * (1 - kappa))), abs=1e-9)
 
+    def test_empty_spectrum_is_point_mass_at_zero(self):
+        # every eigenvalue below tol: the count is 0 surely
+        pmf = count_distribution(DiskRestriction(radius=1e-3, palm_shift=True), 2)
+        assert pmf.tolist() == [1.0, 0.0, 0.0]
+
     def test_log_tail_matches_linear_dp(self):
         restriction = DiskRestriction(radius=1.5, beta=0.7)
         pmf = count_distribution(restriction, 40)
@@ -119,8 +124,9 @@ class TestCountDistribution:
         restriction = DiskRestriction(radius=radius, beta=beta, palm_shift=palm)
         # m from 1 to ten standard deviations past the mean count
         m = 1 + int(depth * (radius ** 2 + 10.0 * radius + 10.0))
-        # reference spectrum cut far below the default tolerance, so that it
-        # holds every eigenvalue a deep tail is made of
+        # reference: scipy's Poisson-binomial pmf, a kernel independent of the
+        # log-space recursion, on a spectrum cut far below the default
+        # tolerance, so that it holds every eigenvalue a deep tail is made of
         pmf = count_distribution(restriction, 40_000, tol=1e-300)
         linear = float(pmf[m:].sum())
         if linear > 1e-250:
