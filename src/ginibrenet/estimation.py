@@ -15,17 +15,23 @@ Estimator variants for P(I_Lambda >= x):
                      other marks).  Unbiased for every fading law, with
                      no threshold to choose.
 
-One loop, ``_replicate``, runs the replications of every estimator here.  Per
-replication it draws the distances from the receiver to the in-window
-interferers (the Kostlan radial draw when receiver and window are both at
-the origin, the DPP projection sampler otherwise), and an evaluator turns
-them into a value or a row:
+One loop, ``_replicate``, runs the replications of every estimator here, in
+blocks of _BLOCK.  A block is one array of the distances from the receiver to
+the in-window interferers, a row per replication, padded with inf where a
+replication has fewer interferers than the widest row; attenuation(inf) is
+exactly 0, so padding is an interferer of zero gain.  Receiver and window both
+at the origin take the Kostlan radial draw, which fills the block from one
+array of uniforms; any other geometry takes one DPP projection-sampler pattern
+per row.  An evaluator then maps the block, in numpy, to a column or a matrix:
 
-* ``_crude`` and ``_tilted`` -- one tail indicator or weight at level x;
-* ``_single_jump`` -- one value per level of a grid: a one-level grid for
-  ``estimate_interference_tail``, a grid with unit gains for
-  ``subexp_sum_ratio``;
+* ``_crude`` and ``_tilted`` -- a tail indicator or weight per row at level x;
+* ``_single_jump`` -- a row of values per replication over a level grid: a
+  one-level grid for ``estimate_interference_tail``, a grid with unit gains
+  for ``subexp_sum_ratio``;
 * ``dominating_event_probe``'s evaluator -- a (hit, ball count) row.
+
+Sums over a row go through ``_row_sum``, so a row's values depend neither on
+the order of its interferers nor on its padding.
 """
 from __future__ import annotations
 
@@ -33,11 +39,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .errors import CapExceededError
 from .fading import FadingSpec, LIGHT_TAIL_KINDS, SUBEXPONENTIAL_KINDS
-from .interference import NetworkModel, _sorted_sum, attenuation
+from .interference import NetworkModel, attenuation
 from .patterns import RngStream
 from .rates import LdpRegime, growth_function, proof_constants, tail_asymptote
 from .samplers import sample_palm_beta_ginibre
@@ -45,6 +51,14 @@ from .spectral import DiskRestriction, eigenvalues, trace_bound
 
 ESTIMATORS = ("crude", "tilted", "single_jump")
 TILT_DOUBLINGS = 40  # bracket doublings from 1/max gain: tilts up to ~1e12 / max gain
+_BLOCK = 256  # replications drawn and evaluated together
+_ROOT_STEPS = 100  # cap on the false-position steps of the tilt solve
+_ROOT_RTOL = 1e-14  # bracket width, relative to its top, that ends the solve
+_ROOT_GAP_TOL = 1e-14  # relative gap that ends it: a few roundings of the sum
+# cell midpoints of a tilted mark's inverse-CDF grid on [0, 1], and the marks
+# tabulated at once (2 x 4096 doubles, 65 kB a table)
+_DRAW_MIDPOINTS = (np.arange(4096) + 0.5) / 4096
+_DRAW_CHUNK = 2
 
 
 @dataclass
@@ -88,93 +102,205 @@ def _finalize(values: np.ndarray, estimator: str,
         diagnostics=diagnostics)
 
 
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, ascending and one term at a time, so a row's sum
+    depends neither on the order of its terms nor on zeros among them."""
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[:-1])
+    return np.sort(a, axis=-1).cumsum(axis=-1)[..., -1]
+
+
 def _radial_draw(model: NetworkModel):
     """Distance draw for a window and a receiver both at the origin.
 
     By Kostlan's theorem the squared moduli of the reduced-Palm beta-Ginibre
-    points are independent beta * G_m, G_m ~ Gamma(m + 1, 1), m >= 1, each
-    kept with probability beta and cut at the window radius r.  Term m is
-    thus in the window with probability beta kappa_m, kappa_m =
-    P(G_m <= r^2 / beta) the Palm eigenvalue that the DPP sampler truncates
-    by as well.  One uniform u_m per term decides both: the term is present
-    iff u_m < beta kappa_m, and then G_m is the inverse Gamma CDF at
-    u_m / beta, uniform on (0, kappa_m).  The spectrum is fixed once per loop.
+    points are independent beta G_m, G_m ~ Gamma(m + 1, 1), m >= 1, each kept
+    with probability beta and cut at the window radius r.  Term m is thus in
+    the window with probability p_m = beta P(G_m <= r^2 / beta): the thinned
+    Palm spectrum, which the DPP sampler and the exact count law read too.
+    One uniform u_m per term decides both: the term is present iff u_m < p_m,
+    and then G_m is the inverse Gamma CDF at u_m / beta, uniform on
+    (0, p_m / beta), capped at r^2 / beta against rounding.  The block drops
+    the terms none of its rows holds.
     """
     beta = model.beta
-    kappa = eigenvalues(DiskRestriction(radius=model.window.radius / math.sqrt(beta),
-                                        palm_shift=True))
-    present = beta * kappa
-    shapes = np.arange(2.0, len(kappa) + 2.0)
+    restriction = DiskRestriction(radius=model.window.radius, beta=beta,
+                                  palm_shift=True)
+    present = eigenvalues(restriction)
+    rsq = restriction.scaled_radius_sq
+    shapes = np.arange(2.0, len(present) + 2.0)
 
-    def draw(gen: np.random.Generator) -> np.ndarray:
-        u = gen.random(len(kappa))
+    def draw(gen: np.random.Generator, n: int) -> np.ndarray:
+        u = gen.random((n, len(present)))
         on = u < present
-        return np.sqrt(beta * special.gammaincinv(shapes[on], u[on] / beta))
+        g = special.gammaincinv(np.broadcast_to(shapes, on.shape)[on], u[on] / beta)
+        dist = np.full(on.shape, np.inf)
+        dist[on] = np.sqrt(beta * np.minimum(g, rsq))
+        return dist[:, on.any(axis=0)]
     return draw
 
 
 def _dpp_draw(model: NetworkModel):
-    """Distance draw for any other geometry: a reduced-Palm pattern from the
-    projection sampler on the origin-centred disk that covers the window."""
+    """Distance draw for any other geometry: per row, a reduced-Palm pattern
+    from the projection sampler on the origin-centred disk that covers the
+    window."""
     radius = abs(model.window.center) + model.window.radius
 
-    def draw(gen: np.random.Generator) -> np.ndarray:
-        # the palm sampler wants a fresh RngStream, so draw a 63-bit child
-        # seed from the running stream
-        child = RngStream(int(gen.integers(1 << 63)), 0)
-        pts = sample_palm_beta_ginibre(model.beta, radius, child).points
-        return np.abs(model.receiver - pts[model.window.contains(pts)])
+    def draw(gen: np.random.Generator, n: int) -> np.ndarray:
+        rows = []
+        for _ in range(n):
+            # the palm sampler wants a fresh RngStream, so draw a 63-bit child
+            # seed from the running stream
+            child = RngStream(int(gen.integers(1 << 63)), 0)
+            pts = sample_palm_beta_ginibre(model.beta, radius, child).points
+            rows.append(np.abs(model.receiver - pts[model.window.contains(pts)]))
+        dist = np.full((n, max(map(len, rows))), np.inf)
+        for out, row in zip(dist, rows):
+            out[:len(row)] = row
+        return dist
     return draw
 
 
 def _distance_draw(model: NetworkModel):
-    """Per-replication sampler of the distances from the receiver to the
-    interferers inside the window: the only thing I_Lambda and the probe's
-    ball counts depend on.  Called once per loop; returns draw(gen)."""
+    """Block sampler of the distances from the receiver to the interferers
+    inside the window: the only thing I_Lambda and the probe's ball counts
+    depend on.  Called once per loop; returns draw(gen, n), an (n, width)
+    array padded with inf."""
     centred = model.window.center == 0 and model.receiver == 0
     return (_radial_draw if centred else _dpp_draw)(model)
 
 
-def _pattern_tilt(fading: FadingSpec, gains: np.ndarray, x: float) -> float:
-    """Tilt theta >= 0 solving sum_i tilted_mean(theta L_i) L_i = x.
+def _pattern_tilt(fading: FadingSpec, gains: np.ndarray, x: float) -> np.ndarray:
+    """Per row of ``gains`` (each with a positive gain), the tilt theta >= 0
+    solving sum_j tilted_mean(theta L_j) L_j = x; 0 where the untilted mean
+    already reaches x.
 
     Each mark is tilted at theta times its own attenuation gain, which tilts
     the conditional distribution of I given the pattern directly; the
     estimator stays unbiased because the tilt depends on positions only.
+    Exponential marks solve 1 - x / S(theta) = 0, S(theta) =
+    sum_j L_j / (c - theta L_j), inside [0, c / max L], where S is infinite;
+    for one mark that gap is linear in theta, so the first false-position step
+    is exact.  The other kinds solve sum_j tilted_mean(theta L_j) L_j / x = 1,
+    bracketed by doubling from 1 / max L, at most TILT_DOUBLINGS times.
     """
-    means = fading.mean() * gains
-    if means.sum() >= x:
-        return 0.0
     if fading.kind == "exponential":
         c = fading.c
-        hi = c / float(gains.max()) * (1.0 - 1e-9)
 
-        def gap(theta):
-            return float(np.sum(gains / (c - theta * gains))) - x
+        def gap(theta, g):
+            with np.errstate(divide="ignore"):
+                return 1.0 - x / _row_sum(g / (c - theta[:, None] * g))
     else:
-        def gap(theta):
-            return sum(fading.tilted_mean(theta * g) * g for g in gains) - x
+        def gap(theta, g):
+            tilted = np.zeros_like(g)
+            on = g > 0
+            tilted[on] = fading.tilted_mean((theta[:, None] * g)[on]) * g[on]
+            return _row_sum(tilted) / x - 1.0
 
-        hi = 1.0 / float(gains.max())
+    theta = np.zeros(len(gains))
+    f_lo = gap(theta, gains)
+    rows = np.nonzero(f_lo < 0.0)[0]
+    if len(rows) == 0:
+        return theta
+    g, f_lo = gains[rows], f_lo[rows]
+    lo = np.zeros(len(rows))
+    if fading.kind == "exponential":
+        hi = c / g.max(axis=1)
+        f_hi = np.ones(len(rows))
+    else:
+        hi = 1.0 / g.max(axis=1)
+        f_hi = gap(hi, g)
         doublings = 0
-        while (gap_hi := gap(hi)) < 0.0 and doublings < TILT_DOUBLINGS:
-            hi *= 2.0
+        while (short := f_hi < 0.0).any() and doublings < TILT_DOUBLINGS:
+            lo[short], f_lo[short] = hi[short], f_hi[short]
+            hi[short] *= 2.0
+            f_hi[short] = gap(hi[short], g[short])
             doublings += 1
-        if not gap_hi >= 0.0:  # the cap, or a tilted mean that overflowed
+        failed = ~(f_hi >= 0.0)  # the cap, or a tilted mean that overflowed
+        if failed.any():
+            i = int(np.argmax(failed))
             raise CapExceededError(
                 "tilt bracket search failed: no tilt reaches the target level",
-                diagnostics={"kind": fading.kind, "x": x, "n_points": len(gains),
-                             "gain_sum": float(gains.sum()),
-                             "gain_max": float(gains.max()), "theta_hi": hi,
-                             "gap_at_theta_hi": gap_hi, "doublings": doublings})
-    return float(optimize.brentq(gap, 0.0, hi, xtol=1e-10, rtol=1e-10))
+                diagnostics={"kind": fading.kind, "x": x,
+                             "n_points": int(np.count_nonzero(g[i])),
+                             "gain_sum": float(g[i].sum()),
+                             "gain_max": float(g[i].max()), "theta_hi": float(hi[i]),
+                             "gap_at_theta_hi": float(f_hi[i]), "doublings": doublings})
+    theta[rows] = _false_position(gap, g, lo, hi, f_lo, f_hi,
+                                  {"kind": fading.kind, "x": x})
+    return theta
+
+
+def _false_position(gap, g, lo, hi, f_lo, f_hi, context: dict) -> np.ndarray:
+    """Per row, the root of gap(theta, g), increasing in theta, inside
+    [lo, hi] with gap(lo) < 0 <= gap(hi).
+
+    False position with the Illinois step (an end kept twice running has its
+    gap halved), a midpoint where rounding puts the secant point on an end,
+    and a stop once the bracket is _ROOT_RTOL wide relative to its top or the
+    gap, relative to the level, is within _ROOT_GAP_TOL of 0: there its sign
+    is rounding noise, which could hold one end for many steps.  Rows drop out
+    as they converge.
+    """
+    root = np.empty(len(lo))
+    act = np.arange(len(lo))
+    moved = np.zeros(len(lo))  # -1: lo moved last, +1: hi moved last
+    for _ in range(_ROOT_STEPS):
+        t = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        t = np.where((t > lo) & (t < hi), t, 0.5 * (lo + hi))
+        f_t = gap(t, g[act])
+        below = f_t < 0.0
+        f_hi = np.where(below & (moved < 0), 0.5 * f_hi, f_hi)
+        f_lo = np.where(~below & (moved > 0), 0.5 * f_lo, f_lo)
+        lo, f_lo = np.where(below, t, lo), np.where(below, f_t, f_lo)
+        hi, f_hi = np.where(below, hi, t), np.where(below, f_hi, f_t)
+        moved = np.where(below, -1.0, 1.0)
+        done = (np.abs(f_t) <= _ROOT_GAP_TOL) | (hi - lo <= _ROOT_RTOL * hi)
+        root[act[done]] = t[done]
+        keep = ~done
+        act, lo, hi, f_lo, f_hi, moved = (v[keep] for v in (act, lo, hi, f_lo, f_hi, moved))
+        if len(act) == 0:
+            return root
+    raise CapExceededError(
+        "tilt solve did not converge",
+        diagnostics={**context, "steps": _ROOT_STEPS, "rows_left": len(act),
+                     "theta_lo": float(lo[0]), "theta_hi": float(hi[0]),
+                     "gap_lo": float(f_lo[0]), "gap_hi": float(f_hi[0])})
+
+
+def _tilted_draw(fading: FadingSpec, theta: np.ndarray,
+                 gen: np.random.Generator) -> np.ndarray:
+    """One draw per positive tilt in ``theta`` from the tilted law of a bounded
+    or ``weibull_super`` mark: the tilted density is read at the midpoints of
+    a 4096-cell grid on [0, top], and a uniform is inverted through the
+    piecewise-linear CDF, _DRAW_CHUNK densities per table."""
+    if fading.kind == "bounded":
+        top = np.full(len(theta), fading.bound)
+    else:  # weibull_super: truncate far beyond the tilted bulk
+        top = 10.0 * np.maximum(fading.tilted_mean(theta), 1.0)
+    u = gen.random(len(theta))
+    out = np.empty(len(theta))
+    cells = len(_DRAW_MIDPOINTS)
+    for lo in range(0, len(theta), _DRAW_CHUNK):
+        sl = slice(lo, lo + _DRAW_CHUNK)
+        mid = top[sl, None] * _DRAW_MIDPOINTS
+        logd = fading.log_pdf(mid) + theta[sl, None] * mid
+        cdf = np.cumsum(np.exp(logd - logd.max(axis=1, keepdims=True)), axis=1)
+        target = u[sl] * cdf[:, -1]
+        cell = np.minimum(np.sum(cdf <= target[:, None], axis=1), cells - 1)
+        rows = np.arange(len(cdf))
+        below = np.where(cell > 0, cdf[rows, cell - 1], 0.0)
+        frac = (target - below) / np.maximum(cdf[rows, cell] - below, 1e-300)
+        out[sl] = top[sl] * (cell + frac) / cells
+    return out
 
 
 def _crude(model: NetworkModel, x: float):
     """Evaluator of 1{I >= x}."""
     def evaluate(dist, gen):
         gains = attenuation(dist, model.atten_R, model.atten_alpha)
-        return 1.0 if _sorted_sum(model.fading.sample(len(gains), gen), gains) >= x else 0.0
+        i_val = _row_sum(model.fading.sample(gains.shape, gen) * gains)
+        return (i_val >= x).astype(float)
     return evaluate
 
 
@@ -182,60 +308,68 @@ def _tilted(model: NetworkModel, x: float):
     """Evaluator of the likelihood-ratio-weighted 1{I >= x}, marks tilted at
     the per-pattern tilt times their own gains (``_pattern_tilt``)."""
     fading = model.fading
-    crude = _crude(model, x)
 
     def evaluate(dist, gen):
         gains = attenuation(dist, model.atten_R, model.atten_alpha)
-        n_in = len(gains)
-        if n_in == 0 or (fading.kind == "bounded" and fading.bound * gains.sum() < x):
-            return 0.0  # event impossible given this pattern
-        th = _pattern_tilt(fading, gains, x)
-        if th == 0.0:
-            return crude(dist, gen)
+        # rows with no interferer, or bounded marks that cannot reach x, miss
+        possible = gains.max(axis=1, initial=0.0) > 0.0
+        if fading.kind == "bounded":
+            possible &= fading.bound * _row_sum(gains) >= x
+        theta = np.zeros(len(gains))
+        theta[possible] = _pattern_tilt(fading, gains[possible], x)
+        tilt = theta[:, None] * gains
+        z = fading.sample(gains.shape, gen)
         if fading.kind == "exponential":
-            # base draw z = E/c; the per-mark tilted law is Exp(c - th L_i),
-            # reached by scaling the same variates
-            z = fading.sample(n_in, gen) * (fading.c / (fading.c - th * gains))
+            # the tilted law of mark j is Exp(c - theta L_j): scale the variates
+            z *= fading.c / (fading.c - tilt)
         else:
-            z = np.array([_tilted_draw(fading, th * g, gen) for g in gains])
-        i_val = _sorted_sum(z, gains)
-        if i_val < x:
-            return 0.0
-        return math.exp(math.fsum(fading.log_mgf(th * g) for g in gains) - th * i_val)
+            on = tilt > 0.0
+            z[on] = _tilted_draw(fading, tilt[on], gen)
+        i_val = _row_sum(z * gains)
+        hit = possible & (i_val >= x)
+        return np.exp(np.where(hit, _row_sum(fading.log_mgf(tilt)) - theta * i_val,
+                               -np.inf))
     return evaluate
 
 
 def _single_jump(fading: FadingSpec, x_grid, gains_of):
     """Evaluator of the Asmussen-Kroese estimator at every level in
-    ``x_grid``, returning one value per level.
-
-    With w = L Z, S_-i = S - w_i and M_-i the largest of the other weighted
-    marks (from the top two), the value at x is
-    sum_i Fbar(max(M_-i, x - S_-i) / L_i): O(n) per level, one mark draw per
-    replication shared by every level, and 0 for an empty pattern.
-    """
-    x = np.asarray(x_grid, dtype=float)[:, None]
+    ``x_grid``: one row of values per replication, from one mark draw per
+    interferer shared by every level (``_jump_values``)."""
+    x = np.asarray(x_grid, dtype=float)
 
     def evaluate(dist, gen):
         gains = gains_of(dist)
-        if len(gains) == 0:
-            return np.zeros(len(x))
-        w = fading.sample(len(gains), gen) * gains
-        top = int(np.argmax(w))
-        rest_max = np.full(len(w), w[top])
-        rest_max[top] = np.max(np.delete(w, top), initial=0.0)
-        rest_sum = w.sum() - w
-        return fading.survival(np.maximum(rest_max, x - rest_sum) / gains).sum(axis=1)
+        return _jump_values(fading, fading.sample(gains.shape, gen) * gains, gains, x)
     return evaluate
+
+
+def _jump_values(fading: FadingSpec, w: np.ndarray, gains: np.ndarray,
+                 x: np.ndarray) -> np.ndarray:
+    """(rows x levels) Asmussen-Kroese values of weighted marks ``w``.
+
+    With S_-i = S - w_i and M_-i the largest of the other weighted marks (the
+    top two of the row, and 0 for a lone mark), the value at x is
+    sum_i Fbar(max(M_-i, x - S_-i) / L_i) over the entries of positive gain:
+    O(n) per level, and 0 for an empty row.
+    """
+    top = np.sort(np.pad(w, ((0, 0), (1, 0))), axis=1)[:, -2:]
+    rest_max = np.where(w == top[:, 1:], top[:, :1], top[:, 1:])
+    rest_sum = _row_sum(w)[:, None] - w
+    arg = np.maximum(rest_max, x[:, None, None] - rest_sum)  # (levels, rows, n)
+    on = np.broadcast_to(gains > 0.0, arg.shape)
+    arg = np.divide(arg, gains, out=np.full(arg.shape, np.inf), where=on)
+    return _row_sum(fading.survival(arg)).T
 
 
 def _replicate(model: NetworkModel, n_reps: int, rng: RngStream, evaluate) -> np.ndarray:
     """The replication loop of every estimator: one generator from ``rng``,
-    one distance draw per replication, and ``evaluate(dist, gen)``'s value
-    or row for it, stacked into an array."""
+    distance blocks of up to _BLOCK rows, and ``evaluate(dist, gen)``'s column
+    or matrix for each block, stacked."""
     gen = rng.generator()
     draw = _distance_draw(model)
-    return np.array([evaluate(draw(gen), gen) for _ in range(n_reps)])
+    return np.concatenate([evaluate(draw(gen, min(_BLOCK, n_reps - start)), gen)
+                           for start in range(0, n_reps, _BLOCK)])
 
 
 def estimate_interference_tail(model: NetworkModel, x: float, n_reps: int,
@@ -266,27 +400,8 @@ def estimate_interference_tail(model: NetworkModel, x: float, n_reps: int,
     if estimator == "tilted" and est.probability > 0:
         w = values[values > 0]
         est.diagnostics["ess"] = float(np.sum(w) ** 2 / np.sum(w * w))
+        est.diagnostics["max_weight_share"] = float(np.max(w) / np.sum(w))
     return est
-
-
-def _tilted_draw(fading: FadingSpec, theta: float, gen: np.random.Generator) -> float:
-    """One draw from the tilted law of a bounded or ``weibull_super`` mark,
-    via a fine inverse-CDF grid of the tilted density."""
-    if fading.kind == "bounded":
-        hi = fading.bound
-    else:  # weibull_super: truncate far beyond the tilted bulk
-        hi = 10.0 * max(fading.tilted_mean(theta), 1.0)
-    grid = np.linspace(0.0, hi, 4097)
-    mid = 0.5 * (grid[:-1] + grid[1:])
-    logd = fading.log_pdf(mid) + theta * mid
-    logd -= np.max(logd[np.isfinite(logd)])
-    w = np.exp(logd)
-    cdf = np.concatenate(([0.0], np.cumsum(w)))
-    cdf /= cdf[-1]
-    u = gen.random()
-    idx = int(np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, len(mid) - 1))
-    frac = (u - cdf[idx]) / max(cdf[idx + 1] - cdf[idx], 1e-300)
-    return float(grid[idx] + frac * (grid[idx + 1] - grid[idx]))
 
 
 def _increasing(x_grid) -> list[float]:
@@ -351,9 +466,9 @@ def subexp_sum_ratio(model: NetworkModel, x_grid, n_reps: int,
     if model.fading.kind not in SUBEXPONENTIAL_KINDS:
         raise ValueError("subexp_sum_ratio requires a subexponential fading kind")
     x_grid = [float(v) for v in x_grid]
-    jump = _single_jump(model.fading, x_grid, np.ones_like)
-    rows = _replicate(model, n_reps, rng,
-                      lambda dist, gen: (len(dist), *jump(dist, gen)))
+    jump = _single_jump(model.fading, x_grid, lambda d: np.isfinite(d).astype(float))
+    rows = _replicate(model, n_reps, rng, lambda dist, gen: np.column_stack(
+        (np.isfinite(dist).sum(axis=1), jump(dist, gen))))
     if abs(model.window.center) < 1e-12:
         e_n = trace_bound(DiskRestriction(radius=model.window.radius,
                                           beta=model.beta, palm_shift=True))
@@ -400,9 +515,9 @@ def dominating_event_probe(model: NetworkModel, x: float, eps: float,
     log_sf_single = float(model.fading.log_survival(model.r_alpha * x / eps))
 
     def evaluate(dist, gen):
-        i_val = _sorted_sum(model.fading.sample(len(dist), gen),
-                            attenuation(dist, model.atten_R, model.atten_alpha))
-        return eps * i_val > x, np.count_nonzero(dist <= r)
+        gains = attenuation(dist, model.atten_R, model.atten_alpha)
+        i_val = _row_sum(model.fading.sample(gains.shape, gen) * gains)
+        return np.column_stack((eps * i_val > x, np.sum(dist <= r, axis=1)))
 
     hits, balls = _replicate(model, n_reps, rng, evaluate).T
     return DominatingEventProbe(

@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
+from ginibrenet import estimation
+from ginibrenet import fading as fading_module
 from ginibrenet.errors import CapExceededError
-from ginibrenet.estimation import (TILT_DOUBLINGS, TailEstimate, _pattern_tilt,
-                                   _single_jump, dominating_event_probe,
+from ginibrenet.estimation import (TILT_DOUBLINGS, TailEstimate, _jump_values,
+                                   _pattern_tilt, _row_sum, _single_jump,
+                                   dominating_event_probe,
                                    estimate_interference_tail,
                                    speed_regression, subexp_sum_ratio)
 from ginibrenet.fading import FadingSpec
@@ -19,10 +23,43 @@ from ginibrenet.samplers import sample_beta_ginibre
 from ginibrenet.spectral import DiskRestriction, log_count_tail, trace_bound
 
 
-def model(kind="exponential", **fkw):
-    return NetworkModel(beta=1.0, window=DiskWindow(radius=2.0), receiver=0j,
+def model(kind="exponential", receiver=0j, **fkw):
+    return NetworkModel(beta=1.0, window=DiskWindow(radius=2.0), receiver=receiver,
                         atten_R=1.0, atten_alpha=4.0,
                         fading=FadingSpec(kind=kind, **fkw))
+
+
+def agree(a, b):
+    """Two independent estimates within 3 combined standard errors."""
+    return abs(a.probability - b.probability) <= 3 * math.hypot(a.stderr, b.stderr)
+
+
+TILT_FADINGS = [FadingSpec(kind="exponential", c=1.0),
+                FadingSpec(kind="bounded", bound=1.0, beta_a=2.0, beta_b=3.0),
+                FadingSpec(kind="weibull_super", c=1.0, gamma=2.0)]
+
+
+def tilt_level(fading, gain_sum, excess):
+    """A level above the untilted mean of sum L Z, and below B sum L for
+    bounded marks."""
+    if fading.kind == "bounded":
+        return (fading.mean() + excess / 4 * (fading.bound - fading.mean())) * gain_sum
+    return fading.mean() * gain_sum * (1 + excess)
+
+
+def scalar_tilt(fading, gains, x):
+    """The tilt of one pattern by brentq on the gap summed a mark at a time."""
+    if fading.kind == "exponential":
+        def gap(theta):
+            return sum(g / (fading.c - theta * g) for g in gains) - x
+        hi = fading.c / max(gains) * (1 - 1e-12)
+    else:
+        def gap(theta):
+            return sum(fading.tilted_mean(theta * g) * g for g in gains) - x
+        hi = 1.0 / max(gains)
+        while gap(hi) < 0:
+            hi *= 2.0
+    return optimize.brentq(gap, 0.0, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
 
 
 class TestCountTail:
@@ -111,7 +148,7 @@ class TestTiltBracket:
                 return 1.0 - 0.5 / (1.0 + theta)
 
         with pytest.raises(CapExceededError, match="bracket") as exc:
-            _pattern_tilt(Saturating(), np.array([1.0, 0.5]), 1.5)
+            _pattern_tilt(Saturating(), np.array([[1.0, 0.5]]), 1.5)
         assert exc.value.diagnostics["doublings"] == TILT_DOUBLINGS
         assert exc.value.diagnostics["theta_hi"] >= 2.0 ** TILT_DOUBLINGS
 
@@ -120,7 +157,7 @@ class TestTiltBracket:
         # level B * sum(gains) is never bracketed
         fading = FadingSpec(kind="bounded", bound=1.0)
         with pytest.raises(CapExceededError, match="bracket") as exc:
-            _pattern_tilt(fading, np.array([1.0, 0.5]), 1.5)
+            _pattern_tilt(fading, np.array([[1.0, 0.5]]), 1.5)
         assert exc.value.diagnostics["doublings"] == TILT_DOUBLINGS
 
     def test_bounded_tilted_at_large_tilts(self):
@@ -131,6 +168,105 @@ class TestTiltBracket:
         assert tilted.probability > 0.0
         assert abs(tilted.probability - crude.probability) <= 3 * (tilted.stderr
                                                                    + crude.stderr)
+
+
+class TestBatchedKernels:
+    @given(fading=st.sampled_from(TILT_FADINGS),
+           rows=st.lists(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=30),
+                         min_size=1, max_size=3),
+           excess=st.floats(0.05, 3.6))
+    @settings(max_examples=60, deadline=None)
+    def test_tilt_rows_match_scalar_brentq(self, fading, rows, excess):
+        gains = np.zeros((len(rows), max(map(len, rows))))
+        for out, row in zip(gains, rows):
+            out[:len(row)] = row
+        x = tilt_level(fading, min(map(sum, rows)), excess)
+        theta = _pattern_tilt(fading, gains, x)
+        for th, row in zip(theta, rows):
+            ratio = fading.mean() * sum(row) / x
+            if ratio >= 1.0:
+                assert th == 0.0
+            elif ratio < 0.95:  # farther from the untilted mean the root is well conditioned
+                assert th == pytest.approx(scalar_tilt(fading, row, x), rel=1e-9)
+
+    @given(fading=st.sampled_from(TILT_FADINGS + [FadingSpec(kind="pareto", c=2.0)]),
+           gains=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=12),
+           pad=st.integers(0, 6), excess=st.floats(0.05, 3.6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_padding_and_order_leave_a_row_unchanged(self, fading, gains, pad,
+                                                     excess, seed):
+        rng = np.random.default_rng(seed)
+        gains = np.array(gains)
+        marks = fading.sample(len(gains), rng)
+        # the same pattern again, with zero-gain columns and shuffled
+        order = rng.permutation(len(gains) + pad)
+        other_gains = np.concatenate((gains, np.zeros(pad)))[order]
+        other_marks = np.concatenate((marks, fading.sample(pad, rng)))[order]
+        block = np.zeros((2, len(gains) + pad))
+        block[0, :len(gains)] = gains
+        block[1] = other_gains
+        x = tilt_level(fading, gains.sum(), excess)
+        levels = np.array([0.5 * x, x, 2.0 * x])
+
+        def kernels(g, z):
+            out = [_row_sum(z * g), _jump_values(fading, z * g, g, levels)]
+            if fading.kind != "pareto":
+                out.append(_pattern_tilt(fading, g, x))
+            return out
+
+        alone = kernels(gains[None, :], marks[None, :])
+        shuffled = kernels(other_gains[None, :], other_marks[None, :])
+        in_block = kernels(block, np.vstack((np.pad(marks, (0, pad)), other_marks)))
+        for a, b, both in zip(alone, shuffled, in_block):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(np.concatenate((a, a)), both)
+
+
+class TestOffCentreAndWeibull:
+    """Estimator pairs through the DPP path (receiver off the window centre)
+    and the centred weibull_super tilt."""
+
+    def test_off_centre_exponential_tilted_matches_crude(self):
+        m = model(receiver=0.5 + 0j)
+        crude = estimate_interference_tail(m, 3.0, 6000, "crude", RngStream(91))
+        tilted = estimate_interference_tail(m, 3.0, 1500, "tilted", RngStream(92))
+        assert agree(crude, tilted)
+
+    def test_off_centre_pareto_single_jump_matches_crude(self):
+        m = model(kind="pareto", receiver=0.5 + 0j, c=2.0)
+        crude = estimate_interference_tail(m, 8.0, 6000, "crude", RngStream(93))
+        sj = estimate_interference_tail(m, 8.0, 1500, "single_jump", RngStream(94))
+        assert agree(crude, sj)
+
+    def test_weibull_tilted_matches_crude(self):
+        m = model(kind="weibull_super", c=1.0, gamma=2.0)
+        crude = estimate_interference_tail(m, 2.5, 40_000, "crude", RngStream(95))
+        tilted = estimate_interference_tail(m, 2.5, 3000, "tilted", RngStream(96))
+        assert agree(crude, tilted)
+
+    def test_tilted_reports_weight_concentration(self):
+        est = estimate_interference_tail(model(), 6.0, 500, "tilted", RngStream(97))
+        share, ess = est.diagnostics["max_weight_share"], est.diagnostics["ess"]
+        # sum w^2 <= max w sum w, so ESS >= 1 / share
+        assert 0.0 < share <= 1.0 and share * ess >= 1.0 - 1e-12
+        crude = estimate_interference_tail(model(), 1.0, 50, "crude", RngStream(97))
+        assert "max_weight_share" not in crude.diagnostics
+
+
+class TestSolveCaps:
+    def test_false_position_cap_raises_with_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(estimation, "_ROOT_STEPS", 1)
+        with pytest.raises(CapExceededError, match="converge") as exc:
+            _pattern_tilt(FadingSpec(kind="exponential"), np.array([[1.0, 0.5]]), 5.0)
+        assert exc.value.diagnostics["steps"] == 1
+        assert exc.value.diagnostics["rows_left"] == 1
+
+    def test_weibull_mode_cap_raises_with_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(fading_module, "_MODE_STEPS", 1)
+        with pytest.raises(CapExceededError, match="mode") as exc:
+            FadingSpec(kind="weibull_super", c=1.0, gamma=2.0).log_mgf(3.0)
+        assert exc.value.diagnostics["steps"] == 1
 
 
 class TestSpeedRegression:
@@ -205,8 +341,8 @@ class TestSingleJumpEvaluator:
                                                               fading, seed):
         x_grid = np.array(sorted(levels))
         gains = np.array(gains)
-        row = _single_jump(fading, x_grid, lambda d: d)(gains,
-                                                         np.random.default_rng(seed))
+        row = _single_jump(fading, x_grid, lambda d: d)(
+            gains[None, :], np.random.default_rng(seed))[0]
         assert np.all(np.diff(row) <= 0.0)
         assert np.all((row >= 0.0) & (row <= len(gains)))
         if len(gains) == 1:

@@ -32,9 +32,8 @@ def model(beta=1.0, window=DiskWindow(radius=2.0), receiver=0j):
 
 
 def distances(make_draw, m, seed, n_reps):
-    draw = make_draw(m)
-    gen = RngStream(seed).generator()
-    return [draw(gen) for _ in range(n_reps)]
+    block = make_draw(m)(RngStream(seed).generator(), n_reps)
+    return [row[np.isfinite(row)] for row in block]
 
 
 def interference_sample(dists, m, seed):
