@@ -43,7 +43,7 @@ from scipy import special
 
 from .errors import CapExceededError
 from .fading import FadingSpec, LIGHT_TAIL_KINDS, SUBEXPONENTIAL_KINDS
-from .interference import NetworkModel, attenuation
+from .interference import NetworkModel, _row_sum, attenuation
 from .patterns import RngStream
 from .rates import LdpRegime, growth_function, proof_constants, tail_asymptote
 from .samplers import sample_palm_beta_ginibre
@@ -100,14 +100,6 @@ def _finalize(values: np.ndarray, estimator: str,
         probability=p, stderr=se, ci95=(lo, hi), n_reps=n, estimator=estimator,
         log_probability=math.log(p) if p > 0 else -math.inf,
         diagnostics=diagnostics)
-
-
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, ascending and one term at a time, so a row's sum
-    depends neither on the order of its terms nor on zeros among them."""
-    if a.shape[-1] == 0:
-        return np.zeros(a.shape[:-1])
-    return np.sort(a, axis=-1).cumsum(axis=-1)[..., -1]
 
 
 def _radial_draw(model: NetworkModel):

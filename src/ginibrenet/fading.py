@@ -240,20 +240,25 @@ class FadingSpec:
     def _weibull_mode(self, theta: np.ndarray) -> np.ndarray:
         """Mode z of z^g exp(theta z - c z^g): the root of
         h(z) = g + theta z - c g z^g, which is concave with h(0) > 0, so Newton
-        from a point right of the root decreases to it monotonically."""
+        from a point right of the root decreases to it monotonically.  Each
+        entry stops on its own, so its mode does not depend on its neighbours."""
         c, g = self.c, self.gamma
         z = np.maximum((2.0 * theta / (c * g)) ** (1.0 / (g - 1.0)), (2.0 / c) ** (1.0 / g))
+        act = np.arange(len(theta))
         for _ in range(_MODE_STEPS):
-            step = (g + theta * z - c * g * z ** g) / (theta - c * g * g * z ** (g - 1.0))
-            z = z - step
-            if np.all(np.abs(step) <= 1e-13 * z):
+            th, za = theta[act], z[act]
+            step = (g + th * za - c * g * za ** g) / (th - c * g * g * za ** (g - 1.0))
+            z[act] = za = za - step
+            moving = np.abs(step) > 1e-13 * za
+            act, step, za = act[moving], step[moving], za[moving]
+            if len(act) == 0:
                 return z
-        worst = int(np.argmax(np.abs(step) / z))
+        worst = int(np.argmax(np.abs(step) / za))
         raise CapExceededError(
             "weibull_super mode search did not converge",
-            diagnostics={"c": c, "gamma": g, "theta": float(theta[worst]),
-                         "z": float(z[worst]), "last_step": float(step[worst]),
-                         "steps": _MODE_STEPS})
+            diagnostics={"c": c, "gamma": g, "theta": float(theta[act[worst]]),
+                         "z": float(za[worst]), "last_step": float(step[worst]),
+                         "steps": _MODE_STEPS, "entries_left": len(act)})
 
 
 def _at_positive(theta: np.ndarray, val: np.ndarray, at_zero: float):

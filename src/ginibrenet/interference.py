@@ -1,7 +1,6 @@
 """Deterministic interference, SINR and success-threshold evaluation."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,11 +100,8 @@ def attenuation(x, R: float, alpha: float):
 
 
 def interference(marked: MarkedPattern, model: NetworkModel) -> float:
-    """I_Lambda: sum of attenuated marks over the points inside the window.
-
-    Terms are sorted by magnitude and fed to compensated summation, making
-    the result exactly permutation invariant.
-    """
+    """I_Lambda: sum of attenuated marks over the points inside the window,
+    summed by ``_row_sum``, so exactly permutation invariant."""
     pts = marked.pattern.points
     if len(pts) == 0:
         return 0.0
@@ -113,12 +109,15 @@ def interference(marked: MarkedPattern, model: NetworkModel) -> float:
     if not np.any(inside):
         return 0.0
     gains = attenuation(model.receiver - pts[inside], model.atten_R, model.atten_alpha)
-    return _sorted_sum(marked.marks[inside], np.atleast_1d(gains))
+    return float(_row_sum(marked.marks[inside] * gains))
 
 
-def _sorted_sum(marks: np.ndarray, gains: np.ndarray) -> float:
-    """sum_i marks_i gains_i, sorted and compensated: permutation invariant."""
-    return float(math.fsum(np.sort(marks * gains)))
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, ascending and one term at a time, so a row's sum
+    depends neither on the order of its terms nor on zeros among them."""
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[:-1])
+    return np.sort(a, axis=-1).cumsum(axis=-1)[..., -1]
 
 
 def sinr(z0: float, interference_value: float, model: NetworkModel) -> float:

@@ -11,12 +11,12 @@ from ginibrenet import estimation
 from ginibrenet import fading as fading_module
 from ginibrenet.errors import CapExceededError
 from ginibrenet.estimation import (TILT_DOUBLINGS, TailEstimate, _jump_values,
-                                   _pattern_tilt, _row_sum, _single_jump,
+                                   _pattern_tilt, _single_jump,
                                    dominating_event_probe,
                                    estimate_interference_tail,
                                    speed_regression, subexp_sum_ratio)
 from ginibrenet.fading import FadingSpec
-from ginibrenet.interference import DiskWindow, NetworkModel
+from ginibrenet.interference import DiskWindow, NetworkModel, _row_sum
 from ginibrenet.patterns import RngStream
 from ginibrenet.rates import LdpRegime
 from ginibrenet.samplers import sample_beta_ginibre
@@ -221,6 +221,26 @@ class TestBatchedKernels:
         for a, b, both in zip(alone, shuffled, in_block):
             np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(np.concatenate((a, a)), both)
+
+    @given(n=st.integers(fading_module._QUAD_CHUNK // 2 + 1, fading_module._QUAD_CHUNK),
+           excess=st.floats(0.05, 3.6), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_weibull_tilt_of_a_row_ignores_its_block(self, n, excess, seed):
+        # a block of more than _QUAD_CHUNK positive gains: the row's tilted
+        # moments are taken in other quadrature chunks than when it is alone
+        fading = TILT_FADINGS[2]
+        rng = np.random.default_rng(seed)
+        gains = rng.uniform(1e-3, 1.0, n)
+        block = np.vstack((rng.uniform(1e-3, 1.0, n), gains[rng.permutation(n)]))
+        x = tilt_level(fading, gains.sum(), excess)
+
+        def tilt_and_log_mgf(g):  # the row's tilt and its marks' log-MGFs
+            theta = _pattern_tilt(fading, g, x)
+            return theta, np.sort(fading.log_mgf(theta[:, None] * g), axis=1)
+
+        for alone, in_block in zip(tilt_and_log_mgf(gains[None, :]),
+                                   tilt_and_log_mgf(block)):
+            np.testing.assert_array_equal(in_block[1:], alone)
 
 
 class TestOffCentreAndWeibull:

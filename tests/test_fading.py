@@ -219,6 +219,17 @@ class TestMgf:
             assert all(isinstance(v, float) for row in want for v in row)
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("gamma", [1.2, 2.0, 3.0])
+    def test_weibull_transforms_ignore_their_neighbours(self, gamma):
+        # more tilts than one quadrature chunk holds: each value must equal
+        # the one its tilt gets alone, to the bit
+        f = FadingSpec(kind="weibull_super", c=1.0, gamma=gamma)
+        thetas = np.geomspace(1e-3, 1e3, 2 * fading._QUAD_CHUNK + 37)
+        np.random.default_rng(5).shuffle(thetas)
+        for transform in (f.log_mgf, f.tilted_mean):
+            np.testing.assert_array_equal(transform(thetas),
+                                          [transform(t) for t in thetas])
+
     def test_tilted_mean_increasing_in_theta(self):
         f = FadingSpec(kind="weibull_super", c=1.0, gamma=2.0)
         means = [f.tilted_mean(th) for th in (0.0, 1.0, 3.0, 10.0)]
