@@ -13,8 +13,8 @@ from .rates import (LdpRegime, ProofConstants, growth_function,
                     poisson_comparison, proof_constants, rate, speed,
                     tail_asymptote, weibull_rate_constant)
 from .samplers import (KostlanReport, kostlan_validation, sample_beta_ginibre,
-                       sample_ginibre_disk, sample_palm_beta_ginibre,
-                       sample_poisson)
+                       sample_block, sample_ginibre_disk,
+                       sample_palm_beta_ginibre, sample_poisson)
 from .spectral import (DiskRestriction, chernoff_tail_bound,
                        count_distribution, disk_eigenvalue, eigenvalues,
                        joint_intensity, laplace_bound, log_count_tail,

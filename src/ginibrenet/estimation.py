@@ -46,7 +46,7 @@ from .fading import FadingSpec, LIGHT_TAIL_KINDS, SUBEXPONENTIAL_KINDS
 from .interference import NetworkModel, _row_sum, attenuation
 from .patterns import RngStream
 from .rates import LdpRegime, growth_function, proof_constants, tail_asymptote
-from .samplers import sample_palm_beta_ginibre
+from .samplers import sample_block
 from .spectral import DiskRestriction, eigenvalues, trace_bound
 
 ESTIMATORS = ("crude", "tilted", "single_jump")
@@ -136,16 +136,16 @@ def _dpp_draw(model: NetworkModel):
     """Distance draw for any other geometry: per row, a reduced-Palm pattern
     from the projection sampler on the origin-centred disk that covers the
     window."""
-    radius = abs(model.window.center) + model.window.radius
+    restriction = DiskRestriction(
+        radius=abs(model.window.center) + model.window.radius, beta=model.beta,
+        palm_shift=True)
 
     def draw(gen: np.random.Generator, n: int) -> np.ndarray:
-        rows = []
-        for _ in range(n):
-            # the palm sampler wants a fresh RngStream, so draw a 63-bit child
-            # seed from the running stream
-            child = RngStream(int(gen.integers(1 << 63)), 0)
-            pts = sample_palm_beta_ginibre(model.beta, radius, child).points
-            rows.append(np.abs(model.receiver - pts[model.window.contains(pts)]))
+        # one fresh RngStream per pattern, on a 63-bit child seed drawn from
+        # the running stream
+        children = [RngStream(int(gen.integers(1 << 63)), 0) for _ in range(n)]
+        rows = [np.abs(model.receiver - pts[model.window.contains(pts)])
+                for pts in sample_block(restriction, children)]
         dist = np.full((n, max(map(len, rows))), np.inf)
         for out, row in zip(dist, rows):
             out[:len(row)] = row

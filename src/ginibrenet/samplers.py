@@ -10,6 +10,12 @@ vectors of the points already placed.
 Thinning acts on the spectrum: the beta samplers draw the eigenfunctions from
 the beta-thinned spectrum (see ``spectral``) and shrink the points by
 sqrt(beta), so no point is placed and then discarded.
+
+Draws come in blocks: ``sample_block`` takes one stream per pattern and
+advances groups of patterns, sorted by point count, one acceptance each per
+numpy step.  Each pattern still reads its own generator in the order of a
+lone draw, so a pattern does not depend on the block it is drawn in, and the
+single-pattern samplers are blocks of one.
 """
 from __future__ import annotations
 
@@ -25,87 +31,246 @@ from .spectral import DiskRestriction, eigenvalues
 
 STALL_CAP = 1_000_000  # proposals per point before giving up with diagnostics
 KOSTLAN_ORDERS = (1, 2)  # the order statistics kostlan_validation tests
+_BLOCK = 128  # patterns drawn at once by sample_block
+_GROUP = 32  # patterns advanced together, sorted by point count
+_WINDOW = 16  # most proposals one pattern featurizes at a time
+_AHEAD = 3  # window size in expected proposals per acceptance
+_TINY = 2.2250738585072014e-308  # smallest normal float
 
 
-def _sample_projection_points(restriction: DiskRestriction,
-                              rng: np.random.Generator) -> np.ndarray:
-    """One realization of the determinantal process of ``restriction``: its
-    eigenfunctions placed on the 1/sqrt(beta)-inflated disk, shrunk by sqrt(beta)."""
-    rsq = restriction.scaled_radius_sq
-    kappa = eigenvalues(restriction)
-    shift = 1 if restriction.palm_shift else 0
-    ms = np.arange(shift, shift + len(kappa))
-    active = ms[rng.random(len(kappa)) < kappa]
-    k = len(active)
-    if k == 0:
-        return np.empty(0, dtype=complex)
+class _Group:
+    """Up to ``_GROUP`` patterns of one block, advanced one acceptance each
+    per step.
 
-    # log of the squared L2 norm of z^m over the disk w.r.t. the Gaussian
-    # reference: m! * P(Po(r^2) >= m+1)
-    trunc_mass = special.gammainc(active + 1, rsq)
-    log_norm = special.gammaln(active + 1) + np.log(trunc_mass)
+    Each pattern draws its proposals in chunks of max(64, 4k) from its own
+    generator, in the order of a lone draw: indices, radius uniforms, angle
+    uniforms, acceptance uniforms.  It featurizes them lazily, a window at a
+    time.  Each buffered proposal keeps its feature vector with the placed
+    points projected out, and its margin: residual norm minus u |phi|^2,
+    positive iff it is accepted.  Every acceptance updates both with one
+    product (modified Gram-Schmidt).  Placing points only lowers a margin, so
+    a proposal once rejected stays rejected; consumed slots hold -inf.
+    Finished patterns leave the group, so every step works on all its rows.
+    """
 
-    points = np.empty(k, dtype=complex)
-    basis = np.zeros((k, k), dtype=complex)  # orthonormalized feature vectors
-    n_placed = 0
-    proposals = 0
-    chunk = max(64, 4 * k)
-    while n_placed < k:
-        if proposals > STALL_CAP:
+    _ROWS = ("members", "ks", "csize", "act", "trunc", "half_log_norm",
+             "chunk", "cpos", "nchunks", "vec", "margin", "wpos", "bc",
+             "placed", "pts", "last")
+
+    def __init__(self, restriction: DiskRestriction, gens: list, actives: list,
+                 members: np.ndarray, ks: np.ndarray, points: list,
+                 proposals: np.ndarray):
+        self.restriction, self.gens = restriction, gens
+        self.members = members.copy()  # compacted in place as rows finish
+        self.points, self.proposals = points, proposals
+        self.ks = ks
+        g, k = len(members), int(ks[-1])  # members are sorted by k
+        self.csize = np.maximum(64, 4 * self.ks)
+        self.act = np.full((g, k), -1.0)  # the active m, -1 in the padding
+        for row, p in enumerate(members):
+            self.act[row, :self.ks[row]] = actives[p]
+        # half the log of the squared L2 norm of z^m over the disk w.r.t. the
+        # Gaussian reference, m! * P(Po(r^2) >= m+1); in the padding
+        # gammaln(0) = +inf zeroes the features
+        self.trunc = special.gammainc(self.act + 1, restriction.scaled_radius_sq)
+        self.half_log_norm = 0.5 * (special.gammaln(self.act + 1) + np.log(self.trunc))
+        # per proposal: m, gammaincinv argument (the radius once
+        # featurized), angle, acceptance uniform
+        self.chunk = np.zeros((g, max(64, 4 * k), 4))
+        self.cpos = self.csize.copy()  # next unfeaturized proposal of the chunk
+        self.nchunks = np.zeros(g, dtype=np.int64)
+        self.vec = np.zeros((g, _WINDOW, k), dtype=complex)
+        self.margin = np.full((g, _WINDOW), -np.inf)
+        self.wpos = np.zeros((g, _WINDOW), dtype=int)  # chunk position
+        self.width = 0  # window slots any row has used
+        # conjugated orthonormal basis of the placed points' features
+        self.bc = np.zeros((g, k, k), dtype=complex)
+        self.placed = np.zeros(g, dtype=int)
+        self.pts = np.zeros((g, k, 2))  # radius and angle of the placed points
+        self.last = np.zeros(g, dtype=int)  # chunk position of the last one
+
+    def _draw_chunk(self, row: int) -> None:
+        k, chunk = int(self.ks[row]), int(self.csize[row])
+        scanned = int(self.nchunks[row]) * chunk
+        if scanned > STALL_CAP:
             raise SamplerStallError(
                 "sampler stall: rejection loop exceeded the proposal cap",
                 diagnostics={
-                    "radius": restriction.radius, "beta": restriction.beta,
-                    "palm_shift": restriction.palm_shift, "target_points": k,
-                    "placed": n_placed, "proposals": proposals,
+                    "radius": self.restriction.radius,
+                    "beta": self.restriction.beta,
+                    "palm_shift": self.restriction.palm_shift,
+                    "pattern": int(self.members[row]), "target_points": k,
+                    "placed": int(self.placed[row]), "proposals": scanned,
                 })
-        # propose a vectorized batch from the eigenfunction mixture; the
-        # proposal law does not depend on the placement state, so the whole
-        # batch can be precomputed
-        idx = rng.integers(k, size=chunk)
-        ms = active[idx]
-        t = special.gammaincinv(ms + 1, rng.random(chunk) * trunc_mass[idx])
-        angle = rng.random(chunk) * 2.0 * math.pi
-        u_accept = rng.random(chunk)
+        gen = self.gens[self.members[row]]
+        # integers(1) consumes no state, so a one-point pattern skips it
+        idx = gen.integers(k, size=chunk) if k > 1 else np.zeros(chunk, dtype=int)
+        out = self.chunk[row, :chunk]
+        out[:, 0] = self.act[row, idx]
+        out[:, 1] = gen.random(chunk) * self.trunc[row, idx]
+        out[:, 2] = gen.random(chunk) * 2.0 * math.pi
+        out[:, 3] = gen.random(chunk)
+        self.cpos[row] = 0
+        self.nchunks[row] += 1
+
+    def _refill(self, rows: np.ndarray) -> None:
+        """Replace the windows of ``rows``, which hold no acceptance, with
+        their next proposals."""
+        for row in rows[self.cpos[rows] == self.csize[rows]]:
+            self._draw_chunk(row)
+        # basic slicing where every row refills, as a lone pattern always does
+        sel = slice(None) if len(rows) == len(self.ks) else rows
+        k, n = self.ks[sel], self.placed[sel]
+        width = _AHEAD * float((k / (k - n)).max())
+        if width * len(rows) < _WINDOW:
+            # few rows refill: up to _WINDOW proposals in all, but no more
+            # than _AHEAD per point of a pattern
+            width = max(width, min(_WINDOW / len(rows), _AHEAD * int(k.max())))
+        width = min(math.ceil(width), _WINDOW)
+        self.width = max(self.width, width)
+        count = np.minimum(width, self.csize[sel] - self.cpos[sel])
+        col = np.arange(width)
+        # slots past a chunk's end repeat its last proposal and stay unused
+        pos = self.cpos[sel, None] + np.minimum(col, count[:, None] - 1)
+        m, arg, angle, u = self.chunk[rows[:, None], pos].transpose(2, 0, 1)
+        self.cpos[sel] += count
+        t = special.gammaincinv(m + 1, arg)
         r_pt = np.sqrt(t)
         # feature matrix with the Gaussian weight folded in; the common
-        # pointwise factor cancels from every projection ratio
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_mag = np.log(r_pt)[:, None] * active[None, :]
-        log_mag = np.where(active[None, :] == 0, 0.0, log_mag) \
-            - 0.5 * t[:, None] - 0.5 * log_norm[None, :]
-        phis = np.exp(log_mag + 1j * angle[:, None] * active[None, :])
-        norms_sq = np.einsum("ij,ij->i", phis, phis.conj()).real
-        for j in range(chunk):
-            proposals += 1
-            phi = phis[j]
-            norm_sq = float(norms_sq[j])
-            if norm_sq <= 0.0:
-                continue
-            coef = basis[:n_placed] @ phi.conj()
-            resid_sq = norm_sq - float(np.vdot(coef, coef).real)
-            if u_accept[j] * norm_sq >= resid_sq:
-                continue
-            points[n_placed] = r_pt[j] * complex(math.cos(angle[j]),
-                                                 math.sin(angle[j]))
-            w = phi - basis[:n_placed].T @ coef.conj()
-            # second Gram-Schmidt pass keeps the basis orthonormal when the
-            # residual is small
-            w -= basis[:n_placed].T @ (basis[:n_placed] @ w.conj()).conj()
-            wn = np.linalg.norm(w)
-            if wn <= 0.0:
-                continue
-            basis[n_placed] = w / wn
-            n_placed += 1
-            if n_placed == k:
-                break
-    return points * math.sqrt(restriction.beta)
+        # pointwise factor cancels from every projection ratio.  The floor
+        # keeps log(0) finite, so m log r stays exactly 0 for m = 0.
+        act = self.act[sel, None]
+        mag = (np.log(np.maximum(r_pt, _TINY))[..., None] * act
+               - 0.5 * t[..., None] - self.half_log_norm[sel, None])
+        # integer powers of e^(i angle): numpy raises to small integer
+        # exponents by repeated squaring, well within rounding of exp(i m angle)
+        vec = np.exp(1j * angle)[..., None] ** act
+        vec *= np.exp(mag, out=mag)
+        norms_sq = _sq_norms(vec)
+        resid = norms_sq
+        n_max = int(n.max())
+        if n_max:
+            bc = self.bc[sel, :n_max]
+            coef = vec @ bc.transpose(0, 2, 1)
+            resid = norms_sq - _sq_norms(coef)
+            proj = np.conjugate(coef, out=coef) @ bc
+            vec -= np.conjugate(proj, out=proj)
+        # a null feature vector has a null residual, so it is never accepted;
+        # slots past the new window keep their old, non-positive margins
+        self.vec[sel, :width] = vec
+        self.margin[sel, :width] = np.where(col < count[:, None],
+                                            resid - u * norms_sq, -np.inf)
+        self.chunk[rows[:, None], pos, 1] = r_pt
+        self.wpos[sel, :width] = pos
+
+    def _accept(self, at: np.ndarray) -> None:
+        """Place, in every row, the proposal at window slot ``at``."""
+        rows = np.arange(len(at))
+        vec = self.vec[rows, at]
+        norm = np.sqrt(_sq_norms(vec))
+        if norm.min() <= 0.0:  # a null residual is skipped, as in a lone draw
+            self.margin[rows[norm <= 0.0], at[norm <= 0.0]] = -np.inf
+            return
+        self.margin[rows, at] = -np.inf
+        b = vec / norm[:, None]
+        b_conj = b.conj()
+        self.bc[rows, self.placed] = b_conj
+        self.last = self.wpos[rows, at]
+        self.pts[rows, self.placed] = self.chunk[rows, self.last, 1:3]
+        self.placed += 1
+        win = self.vec[:, :self.width]
+        coef = (win @ b_conj[:, :, None])[..., 0]
+        win -= coef[..., None] * b[:, None, :]
+        self.margin[:, :self.width] -= np.abs(coef) ** 2
+
+    def _finish(self, done: np.ndarray) -> None:
+        """Write out the patterns of the ``done`` rows and drop those rows."""
+        scale = math.sqrt(self.restriction.beta)
+        for row in np.flatnonzero(done):
+            p, k = self.members[row], int(self.ks[row])
+            r_pt, angle = self.pts[row, :k].T
+            unit = np.array([complex(math.cos(a), math.sin(a)) for a in angle])
+            self.points[p] = r_pt * unit * scale
+            self.proposals[p] = ((self.nchunks[row] - 1) * self.csize[row]
+                                 + self.last[row] + 1)
+        if done.all():
+            self.ks = self.ks[:0]
+            return
+        # move the rows that go on from the tail into the holes, in place, so
+        # no array is copied whole
+        keep = np.flatnonzero(~done)
+        holes, tail = np.flatnonzero(done[:len(keep)]), keep[keep >= len(keep)]
+        for name in self._ROWS:
+            arr = getattr(self, name)
+            arr[holes] = arr[tail]
+            setattr(self, name, arr[:len(keep)])
+
+    def run(self) -> None:
+        while len(self.ks):
+            hit = self.margin > 0.0
+            found = hit.any(axis=1)
+            while not found.all():
+                self._refill(np.flatnonzero(~found))
+                hit = self.margin > 0.0
+                found = hit.any(axis=1)
+            self._accept(hit.argmax(axis=1))
+            done = self.placed == self.ks
+            if done.any():
+                self._finish(done)
+
+
+def _sq_norms(z: np.ndarray) -> np.ndarray:
+    """Squared moduli summed over the last axis."""
+    v = z.view(float)
+    return np.einsum("...i,...i->...", v, v)
+
+
+def _sample_projection_points(restriction: DiskRestriction, gens: list
+                              ) -> tuple[list[np.ndarray], np.ndarray]:
+    """One realization of the determinantal process of ``restriction`` per
+    generator: its eigenfunctions placed on the 1/sqrt(beta)-inflated disk,
+    shrunk by sqrt(beta).  Also returns each pattern's proposal count.
+
+    Pattern i depends on ``gens[i]`` alone, and equals what a block of that
+    one generator draws."""
+    kappa = eigenvalues(restriction)
+    shift = 1 if restriction.palm_shift else 0
+    ms = np.arange(shift, shift + len(kappa))
+    actives = [ms[gen.random(len(kappa)) < kappa] for gen in gens]
+    points = [np.empty(0, dtype=complex)] * len(gens)
+    proposals = np.zeros(len(gens), dtype=np.int64)
+    ks = np.array([len(a) for a in actives])
+    if not ks.any():
+        return points, proposals
+    order = np.argsort(ks, kind="stable")
+    order = order[ks[order] > 0]
+    for start in range(0, len(order), _GROUP):
+        members = order[start:start + _GROUP]
+        _Group(restriction, gens, actives, members, ks[members], points,
+               proposals).run()
+    return points, proposals
+
+
+def sample_block(restriction: DiskRestriction,
+                 streams: list[RngStream]) -> list[np.ndarray]:
+    """Exact draws of the determinantal process of ``restriction``, one array
+    of complex points per stream, advanced together.  Pattern i is the one
+    the single-pattern sampler of ``restriction`` draws on ``streams[i]``."""
+    points = []
+    for start in range(0, len(streams), _BLOCK):  # bounds the live generators
+        points += _sample_projection_points(
+            restriction, [s.generator() for s in streams[start:start + _BLOCK]])[0]
+    return points
+
+
+def _draw_one(restriction: DiskRestriction, rng: RngStream) -> np.ndarray:
+    return _sample_projection_points(restriction, [rng.generator()])[0][0]
 
 
 def sample_ginibre_disk(radius: float, rng: RngStream) -> PointPattern:
     """Exact draw of the Ginibre determinantal process restricted to b(O, radius)."""
-    pts = _sample_projection_points(DiskRestriction(radius=radius), rng.generator())
-    return PointPattern(points=pts, window_radius=radius, process_kind="ginibre",
+    return PointPattern(points=_draw_one(DiskRestriction(radius=radius), rng),
+                        window_radius=radius, process_kind="ginibre",
                         beta=1.0, seed=rng.master_seed)
 
 
@@ -114,7 +279,7 @@ def sample_beta_ginibre(beta: float, window_radius: float,
     """Exact draw of the Ginibre process thinned with retention beta and shrunk
     by sqrt(beta), restricted to b(O, window_radius)."""
     restriction = DiskRestriction(radius=window_radius, beta=beta)
-    return PointPattern(points=_sample_projection_points(restriction, rng.generator()),
+    return PointPattern(points=_draw_one(restriction, rng),
                         window_radius=window_radius, process_kind="beta_ginibre",
                         beta=beta, seed=rng.master_seed)
 
@@ -127,7 +292,7 @@ def sample_palm_beta_ginibre(beta: float, window_radius: float,
     m >= 1).  The origin itself is never among the points.
     """
     restriction = DiskRestriction(radius=window_radius, beta=beta, palm_shift=True)
-    return PointPattern(points=_sample_projection_points(restriction, rng.generator()),
+    return PointPattern(points=_draw_one(restriction, rng),
                         window_radius=window_radius, process_kind="palm_beta_ginibre",
                         beta=beta, seed=rng.master_seed)
 
@@ -175,9 +340,10 @@ def kostlan_validation(radius: float, n_reps: int, rng: RngStream) -> KostlanRep
             f"radius {radius} too small for order statistic {k}: "
             f"need radius^2 >= i + 6 sqrt(i)")
     ginibre_stats = np.empty((n_reps, k))
-    for rep in range(n_reps):
-        pat = sample_ginibre_disk(radius, rng.substream(rep))
-        sq = np.sort(np.abs(pat.points) ** 2)
+    patterns = sample_block(DiskRestriction(radius=radius),
+                            [rng.substream(rep) for rep in range(n_reps)])
+    for rep, pts in enumerate(patterns):
+        sq = np.sort(np.abs(pts) ** 2)
         if len(sq) < k:  # vanishing-probability corner at these radii
             sq = np.concatenate([sq, np.full(k - len(sq), rsq)])
         ginibre_stats[rep] = sq[:k]

@@ -20,8 +20,7 @@ from .interference import DiskWindow, NetworkModel
 from .patterns import RngStream
 from .rates import (LdpRegime, poisson_comparison, rate, speed,
                     weibull_rate_constant)
-from .samplers import (KOSTLAN_ORDERS, kostlan_validation, sample_beta_ginibre,
-                       sample_ginibre_disk, sample_palm_beta_ginibre)
+from .samplers import KOSTLAN_ORDERS, kostlan_validation, sample_block
 from .spectral import (DiskRestriction, count_distribution, eigenvalues,
                        log_count_tail, minimized_chernoff_bound, trace_bound)
 
@@ -114,15 +113,10 @@ def check_count_law(quick: bool = False) -> CheckResult:
     cases = [("ginibre", 1.0, 1.0), ("ginibre", 1.0, 2.0),
              ("beta", 0.5, 1.0), ("beta", 0.5, 2.0)]
     for ci, (kind, beta, radius) in enumerate(cases):
-        counts = np.empty(n_reps, dtype=int)
-        for rep in range(n_reps):
-            sub = stream.substream(ci * n_reps + rep)
-            if kind == "ginibre":
-                pat = sample_ginibre_disk(radius, sub)
-            else:
-                pat = sample_beta_ginibre(beta, radius, sub)
-            counts[rep] = len(pat)
         restriction = DiskRestriction(radius=radius, beta=beta)
+        counts = np.array([len(pts) for pts in sample_block(
+            restriction, [stream.substream(ci * n_reps + rep)
+                          for rep in range(n_reps)])])
         max_n = int(counts.max()) + 10
         pmf = count_distribution(restriction, max_n)
         p = chisquare_vs_pmf(counts, pmf)
@@ -140,20 +134,21 @@ def check_palm_identity(quick: bool = False) -> CheckResult:
     stream = RngStream(MASTER_SEED, 200)
     details, ok = [], True
     for bi, beta in enumerate((0.25, 1.0)):
+        base = bi * 2 * n_reps
+        palm = sample_block(
+            DiskRestriction(radius=radius, beta=beta, palm_shift=True),
+            [stream.substream(base + rep) for rep in range(n_reps)])
+        thin_counts = np.array([len(pts) for pts in sample_block(
+            DiskRestriction(radius=radius, beta=beta),
+            [stream.substream(base + n_reps + rep) for rep in range(n_reps)])])
         palm_counts = np.empty(n_reps, dtype=int)
-        thin_counts = np.empty(n_reps, dtype=int)
         gauss_gen = stream.substream(90_000 + bi).generator()
-        for rep in range(n_reps):
-            base = bi * 2 * n_reps
-            pat_a = sample_palm_beta_ginibre(beta, radius, stream.substream(base + rep))
+        for rep, pts in enumerate(palm):
             extra = 0
             if gauss_gen.random() < beta:
                 g = complex(*(gauss_gen.normal(scale=math.sqrt(0.5), size=2)))
                 extra = int(abs(math.sqrt(beta) * g) <= radius)
-            palm_counts[rep] = len(pat_a) + extra
-            pat_b = sample_beta_ginibre(beta, radius,
-                                        stream.substream(base + n_reps + rep))
-            thin_counts[rep] = len(pat_b)
+            palm_counts[rep] = len(pts) + extra
         p = two_sample_count_chisquare(palm_counts, thin_counts)
         details.append(f"beta={beta}: p={p:.4f}")
         ok &= p > 0.01
@@ -177,8 +172,9 @@ def check_variance_contrast(quick: bool = False) -> CheckResult:
     n_reps = 2000 if quick else 10_000
     radius = 5.0
     stream = RngStream(MASTER_SEED, 400)
-    counts = np.array([len(sample_ginibre_disk(radius, stream.substream(rep)))
-                       for rep in range(n_reps)])
+    counts = np.array([len(pts) for pts in sample_block(
+        DiskRestriction(radius=radius),
+        [stream.substream(rep) for rep in range(n_reps)])])
     kappa = eigenvalues(DiskRestriction(radius=radius))
     exact_var = float(np.sum(kappa * (1.0 - kappa)))
     emp_var = float(np.var(counts, ddof=1))

@@ -19,7 +19,7 @@ from ginibrenet.fading import FadingSpec
 from ginibrenet.interference import DiskWindow, NetworkModel, _row_sum
 from ginibrenet.patterns import RngStream
 from ginibrenet.rates import LdpRegime
-from ginibrenet.samplers import sample_beta_ginibre
+from ginibrenet.samplers import sample_block
 from ginibrenet.spectral import DiskRestriction, log_count_tail, trace_bound
 
 
@@ -65,8 +65,9 @@ def scalar_tilt(fading, gains, x):
 class TestCountTail:
     def test_exact_matches_monte_carlo(self):
         restriction = DiskRestriction(radius=2.0)
-        counts = np.array([len(sample_beta_ginibre(1.0, 2.0, RngStream(60, i)))
-                           for i in range(10_000)])
+        counts = np.array([len(pts) for pts in sample_block(
+            DiskRestriction(radius=2.0, beta=1.0),
+            [RngStream(60, i) for i in range(10_000)])])
         for m in (2, 4, 6):
             exact = math.exp(log_count_tail(restriction, m))
             emp = float(np.mean(counts >= m))

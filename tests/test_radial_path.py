@@ -90,12 +90,12 @@ def test_radial_counts_follow_exact_law(paths):
 def test_only_centred_geometry_skips_the_dpp_sampler(monkeypatch, geometry,
                                                      dpp_calls):
     calls = []
-    sampler = estimation.sample_palm_beta_ginibre
+    sampler = estimation.sample_block
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return sampler(*args, **kwargs)
+    def counted(restriction, streams):
+        calls.extend(streams)
+        return sampler(restriction, streams)
 
-    monkeypatch.setattr(estimation, "sample_palm_beta_ginibre", counted)
+    monkeypatch.setattr(estimation, "sample_block", counted)
     estimate_interference_tail(model(**geometry), 1.0, 20, "crude", RngStream(5))
     assert len(calls) == dpp_calls

@@ -4,18 +4,22 @@ Heavy distributional validation (chi-square count laws, Palm identity,
 Kostlan order statistics) lives in the acceptance suite; these tests keep
 the fast structural guarantees close to the implementation.
 """
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from ginibrenet import samplers
 from ginibrenet.errors import SamplerStallError
 from ginibrenet.patterns import RngStream
 from ginibrenet.samplers import (KOSTLAN_ORDERS, kostlan_validation,
-                                 sample_beta_ginibre, sample_ginibre_disk,
-                                 sample_palm_beta_ginibre, sample_poisson)
+                                 sample_beta_ginibre, sample_block,
+                                 sample_ginibre_disk, sample_palm_beta_ginibre,
+                                 sample_poisson)
 from ginibrenet.spectral import DiskRestriction, count_distribution, trace_bound
 from ginibrenet.validate import chisquare_vs_pmf
 
@@ -36,6 +40,92 @@ class TestDeterminism:
         a = sample_ginibre_disk(3.0, RngStream(1))
         b = sample_ginibre_disk(3.0, RngStream(2))
         assert len(a) != len(b) or not np.array_equal(a.points, b.points)
+
+
+# sha256 of the patterns the single-pattern samplers drew before they became
+# block draws, generated with:
+#
+#   h = hashlib.sha256()
+#   for r in (1.0, 2.5, 6.0):
+#       for i in range(20):
+#           pts = sample_ginibre_disk(r, RngStream(2024, i)).points
+#           h.update(len(pts).to_bytes(4, "little") + pts.tobytes())
+#       for beta in (1.0, 0.5, 0.1):
+#           for fn in (sample_beta_ginibre, sample_palm_beta_ginibre):
+#               for i in range(20):
+#                   pts = fn(beta, r, RngStream(2024, i)).points
+#                   h.update(len(pts).to_bytes(4, "little") + pts.tobytes())
+#   h.hexdigest()
+PINNED_DIGEST = "51f1d4d165aabf41b265c6f1b065528f923eca2877c0fa6c1e40baffcaabb167"
+PINNED_CASES = [(r, kind, beta) for r in (1.0, 2.5, 6.0)
+                for kind, beta in [("ginibre", 1.0)] + [(kind, beta)
+                                                        for beta in (1.0, 0.5, 0.1)
+                                                        for kind in ("beta", "palm")]]
+
+
+def pattern_digest(patterns) -> str:
+    h = hashlib.sha256()
+    for pts in patterns:
+        h.update(len(pts).to_bytes(4, "little") + pts.tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedOutput:
+    """Block draws reproduce the patterns of the one-at-a-time sampler."""
+
+    streams = [RngStream(2024, i) for i in range(20)]
+
+    def test_single_draws_match_the_pinned_digest(self):
+        samplers_by_kind = {"ginibre": lambda beta, r, s: sample_ginibre_disk(r, s),
+                            "beta": sample_beta_ginibre,
+                            "palm": sample_palm_beta_ginibre}
+        patterns = [samplers_by_kind[kind](beta, r, stream).points
+                    for r, kind, beta in PINNED_CASES for stream in self.streams]
+        assert pattern_digest(patterns) == PINNED_DIGEST
+
+    def test_block_draws_match_the_pinned_digest(self):
+        patterns = []
+        for r, kind, beta in PINNED_CASES:
+            patterns += sample_block(
+                DiskRestriction(radius=r, beta=beta, palm_shift=kind == "palm"),
+                self.streams)
+        assert pattern_digest(patterns) == PINNED_DIGEST
+
+
+class TestBlockDraws:
+    @settings(max_examples=8, deadline=None)
+    @given(radius=st.floats(0.5, 4.0), beta=st.floats(0.05, 1.0),
+           palm=st.booleans(),
+           size=st.integers(1, max(2 * samplers._GROUP, samplers._BLOCK) + 9),
+           seed=st.integers(0, 2 ** 32))
+    def test_a_block_equals_its_patterns_drawn_alone(self, radius, beta, palm,
+                                                     size, seed):
+        # mixed point counts within a block exercise the padding, the sort by
+        # count, and the group and sub-block boundaries
+        restriction = DiskRestriction(radius=radius, beta=beta, palm_shift=palm)
+        streams = [RngStream(seed, i) for i in range(size)]
+        block = sample_block(restriction, streams)
+        _, proposals = samplers._sample_projection_points(
+            restriction, [s.generator() for s in streams])
+        for stream, pts, n_prop in zip(streams, block, proposals):
+            alone, alone_prop = samplers._sample_projection_points(
+                restriction, [stream.generator()])
+            assert np.array_equal(pts, alone[0])
+            assert n_prop == alone_prop[0]
+
+    @pytest.mark.parametrize("radius, k", [(1.0, 1), (2.0, 4), (5.0, 25)])
+    def test_mean_proposals_per_pattern_is_k_harmonic_k(self, radius, k):
+        """Mixture proposals are accepted at stage n with probability exactly
+        (k - n) / k, so a k-point pattern takes sum_n k / (k - n) = k H_k
+        proposals on average."""
+        points, proposals = samplers._sample_projection_points(
+            DiskRestriction(radius=radius),
+            [RngStream(80, i).generator() for i in range(1000)])
+        sample = proposals[np.array([len(pts) for pts in points]) == k]
+        p = np.arange(1, k + 1) / k  # acceptance probability per stage
+        mean, var = np.sum(1 / p), np.sum((1 - p) / p ** 2)
+        assert len(sample) >= 150
+        assert abs(sample.mean() - mean) <= 4 * math.sqrt(var / len(sample)) + 1e-12
 
 
 class TestGeometry:
@@ -72,25 +162,50 @@ class TestGeometry:
         assert (diag["radius"], diag["beta"], diag["palm_shift"]) == (3.0, 0.5, True)
         assert diag["placed"] == 0 < diag["target_points"]
 
+    def test_stall_in_a_block_names_the_pattern(self, monkeypatch):
+        restriction = DiskRestriction(radius=3.0, beta=0.5, palm_shift=True)
+        streams = [RngStream(0, i) for i in range(6)]
+        counts = [len(pts) for pts in sample_block(restriction, streams)]
+        monkeypatch.setattr(samplers, "STALL_CAP", -1)
+        with pytest.raises(SamplerStallError) as exc:
+            sample_block(restriction, streams)
+        diag = exc.value.diagnostics
+        assert (diag["radius"], diag["beta"], diag["palm_shift"]) == (3.0, 0.5, True)
+        assert diag["placed"] == 0 < diag["target_points"]
+        assert diag["target_points"] == counts[diag["pattern"]]
+
+    def test_stall_cap_counts_each_pattern_alone(self, monkeypatch):
+        # a cap of 0 allows each pattern its first chunk of 64 proposals,
+        # which r = 1 patterns (k <= 5 here) all but never exhaust; the block
+        # as a whole scans far more than that
+        monkeypatch.setattr(samplers, "STALL_CAP", 0)
+        _, proposals = samplers._sample_projection_points(
+            DiskRestriction(radius=1.0), [RngStream(1, i).generator() for i in range(300)])
+        assert proposals.sum() > 64 >= proposals.max()
+
+
+def block_counts(restriction, seed, n):
+    """Point counts of the block draw on streams (seed, 0..n-1)."""
+    return np.array([len(pts) for pts in sample_block(
+        restriction, [RngStream(seed, i) for i in range(n)])])
+
 
 class TestCountMoments:
     def test_ginibre_mean_count_is_trace(self):
-        counts = [len(sample_ginibre_disk(2.0, RngStream(30, i)))
-                  for i in range(3000)]
+        counts = block_counts(DiskRestriction(radius=2.0), 30, 3000)
         mean = np.mean(counts)
         se = np.std(counts) / np.sqrt(len(counts))
         assert abs(mean - 4.0) < 4 * se
 
     def test_beta_one_matches_plain_count_law(self):
         # beta = 1 must share the plain sampler's exact count law
-        counts = np.array([len(sample_beta_ginibre(1.0, 1.5, RngStream(31, i)))
-                           for i in range(3000)])
+        counts = block_counts(DiskRestriction(radius=1.5, beta=1.0), 31, 3000)
         pmf = count_distribution(DiskRestriction(radius=1.5), 30)
         assert chisquare_vs_pmf(counts, pmf) > 0.01
 
     def test_palm_mean_count_is_palm_trace(self):
-        counts = [len(sample_palm_beta_ginibre(1.0, 1.5, RngStream(32, i)))
-                  for i in range(3000)]
+        counts = block_counts(
+            DiskRestriction(radius=1.5, beta=1.0, palm_shift=True), 32, 3000)
         expected = trace_bound(DiskRestriction(radius=1.5, palm_shift=True))
         se = np.std(counts) / np.sqrt(len(counts))
         assert abs(np.mean(counts) - expected) < 4 * se
@@ -110,8 +225,10 @@ class TestRepulsion:
         radius, cutoff, n_pat = 8.0, 1.0, 1000
         gin = np.zeros(n_pat)
         poi = np.zeros(n_pat)
+        ginibre = sample_block(DiskRestriction(radius=radius),
+                               [RngStream(40, i) for i in range(n_pat)])
         for i in range(n_pat):
-            for pts, acc in ((sample_ginibre_disk(radius, RngStream(40, i)).points, gin),
+            for pts, acc in ((ginibre[i], gin),
                              (sample_poisson(radius, 1 / np.pi, RngStream(41, i)).points, poi)):
                 if len(pts) < 2:
                     continue
@@ -125,29 +242,28 @@ class TestRepulsion:
 class TestPalmCountLaw:
     def test_palm_counts_match_shifted_spectrum(self):
         beta, radius = 0.7, 1.5
-        counts = np.array([len(sample_palm_beta_ginibre(beta, radius,
-                                                        RngStream(42, i)))
-                           for i in range(4000)])
+        counts = block_counts(
+            DiskRestriction(radius=radius, beta=beta, palm_shift=True), 42, 4000)
         pmf = count_distribution(
             DiskRestriction(radius=radius, beta=beta, palm_shift=True), 30)
         assert chisquare_vs_pmf(counts, pmf) > 0.01
 
 
 class TestSubBallCountLaw:
-    @pytest.mark.parametrize("sampler, palm, beta, seed", [
-        (sample_beta_ginibre, False, 0.1, 71),
-        (sample_beta_ginibre, False, 0.5, 72),
-        (sample_palm_beta_ginibre, True, 0.1, 73),
-        (sample_palm_beta_ginibre, True, 0.5, 74),
+    @pytest.mark.parametrize("palm, beta, seed", [
+        (False, 0.1, 71),
+        (False, 0.5, 72),
+        (True, 0.1, 73),
+        (True, 0.5, 74),
     ], ids=["beta0.1", "beta0.5", "palm-beta0.1", "palm-beta0.5"])
-    def test_half_radius_counts_match_exact_law(self, sampler, palm, beta, seed):
+    def test_half_radius_counts_match_exact_law(self, palm, beta, seed):
         # the count in b(0, r/2) reads the radial profile and the sqrt(beta)
         # shrink, which the window count alone cannot see
         radius = 2.0
-        counts = np.array([
-            np.sum(np.abs(sampler(beta, radius, RngStream(seed, i)).points)
-                   <= radius / 2)
-            for i in range(3000)])
+        patterns = sample_block(
+            DiskRestriction(radius=radius, beta=beta, palm_shift=palm),
+            [RngStream(seed, i) for i in range(3000)])
+        counts = np.array([np.sum(np.abs(pts) <= radius / 2) for pts in patterns])
         pmf = count_distribution(
             DiskRestriction(radius=radius / 2, beta=beta, palm_shift=palm), 30)
         assert chisquare_vs_pmf(counts, pmf) > 0.01
