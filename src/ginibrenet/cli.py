@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run every acceptance check with fixed seeds; nonzero "
                     "exit on any failure.")
     p_val.add_argument("--quick", action="store_true",
-                       help="reduced Monte Carlo budgets (finishes in minutes)")
+                       help="reduced Monte Carlo budgets")
     return parser
 
 
@@ -165,7 +165,8 @@ def cmd_estimate(args) -> int:
         # the slope is fitted to exactly the estimates written above
         report = fit_slope(cfg.regime, cfg.plan.x_grid, [r["p"] for r in rows])
     except (ValueError, CapExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        detail = f" {exc.diagnostics}" if isinstance(exc, CapExceededError) else ""
+        print(f"error: {exc}{detail}", file=sys.stderr)
         report = None
         code = 1
     # partial outputs are preserved on failure

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import SamplerStallError
 from .patterns import PointPattern, RngStream
@@ -331,6 +331,8 @@ def kostlan_validation(radius: float, n_reps: int, rng: RngStream) -> KostlanRep
     sample; the disk restriction must be wide enough that boundary truncation
     cannot influence the tested order statistics.
     """
+    from scipy import stats
+
     if n_reps <= 0:
         raise ValueError("n_reps must be positive")
     rsq = radius * radius

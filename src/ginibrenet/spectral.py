@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 if TYPE_CHECKING:  # pragma: no cover
     from .interference import NetworkModel
@@ -77,12 +77,15 @@ def disk_eigenvalue(m: int, radius: float) -> float:
 
 def log_disk_eigenvalue(m: int, radius_sq: float) -> float:
     """log P(Po(radius_sq) >= m+1), usable far below float underflow."""
-    sf = stats.poisson.sf(m, radius_sq)
+    # scipy.stats.poisson's sf and logpmf formulas, without importing
+    # scipy.stats, which costs about a second at start-up
+    sf = special.pdtrc(m, radius_sq)
     if sf > 1e-290:
         return math.log(sf)
     # deep tail: sum a geometric-decaying block of log-pmfs
     ks = m + 1 + np.arange(200)
-    return float(special.logsumexp(stats.poisson.logpmf(ks, radius_sq)))
+    logpmf = special.xlogy(ks, radius_sq) - special.gammaln(ks + 1) - radius_sq
+    return float(special.logsumexp(logpmf))
 
 
 @lru_cache(maxsize=256)
@@ -125,6 +128,8 @@ def count_distribution(restriction: DiskRestriction, max_n: int,
     The count of a determinantal process in a window is a sum of independent
     Bernoulli(kappa_m) variables over the window's eigenvalues.
     """
+    from scipy import stats
+
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
     vals = eigenvalues(restriction, tol)

@@ -11,7 +11,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .estimation import (dominating_event_probe, estimate_interference_tail,
                          speed_regression, subexp_sum_ratio)
@@ -22,7 +21,8 @@ from .rates import (LdpRegime, poisson_comparison, rate, speed,
                     weibull_rate_constant)
 from .samplers import KOSTLAN_ORDERS, kostlan_validation, sample_block
 from .spectral import (DiskRestriction, count_distribution, eigenvalues,
-                       log_count_tail, minimized_chernoff_bound, trace_bound)
+                       log_count_tail, log_disk_eigenvalue,
+                       minimized_chernoff_bound, trace_bound)
 
 MASTER_SEED = 20240901
 
@@ -62,6 +62,8 @@ def _pool_bins(observed: np.ndarray, expected: np.ndarray, min_expected=5.0):
 def chisquare_vs_pmf(counts: np.ndarray, pmf: np.ndarray) -> float:
     """p-value of the one-sample chi-square of integer counts against an exact
     pmf over {0, 1, ...}; the pmf tail beyond its length is lumped in."""
+    from scipy import stats
+
     top = max(int(counts.max()), len(pmf) - 1)
     observed = np.bincount(counts, minlength=top + 1).astype(float)
     expected = np.zeros(top + 1)
@@ -76,6 +78,8 @@ def chisquare_vs_pmf(counts: np.ndarray, pmf: np.ndarray) -> float:
 
 def two_sample_count_chisquare(a: np.ndarray, b: np.ndarray) -> float:
     """p-value of the contingency chi-square between two integer samples."""
+    from scipy import stats
+
     top = int(max(a.max(), b.max()))
     ha = np.bincount(a, minlength=top + 1).astype(float)
     hb = np.bincount(b, minlength=top + 1).astype(float)
@@ -201,7 +205,7 @@ def check_count_tail_trend(quick: bool = False) -> CheckResult:
     monotone = bool(np.all(diffs > 0) or np.all(diffs < 0))
     mean = trace_bound(restriction)
     gin20 = -log_count_tail(restriction, 20)
-    poi20 = -float(stats.poisson.logsf(19, mean))
+    poi20 = -log_disk_eigenvalue(19, mean)  # -log P(Po(mean) >= 20)
     factor = gin20 / poi20
     ok = positive and monotone and factor >= 5.0
     return _result("count_tail_trend", ok,

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from ginibrenet import samplers
 from ginibrenet.cli import main
 from ginibrenet.config import ConfigError, load_config
 from ginibrenet.patterns import read_pattern_csv
@@ -248,6 +249,20 @@ class TestCliEstimate:
         cfg.write_text(GOOD_CONFIG.replace("3.0, 4.0, 5.0", "3.0"))
         assert main(["estimate", "--config", str(cfg)]) == 2
 
+    def test_sampler_stall_reports_diagnostics(self, tmp_path, monkeypatch, capsys):
+        # an off-centre receiver draws DPP patterns; with no proposal budget
+        # past the first chunk, a pattern that needs a second one stalls
+        monkeypatch.setattr(samplers, "STALL_CAP", 0)
+        cfg = tmp_path / "off.ini"
+        cfg.write_text(GOOD_CONFIG.replace("radius = 2.0", "radius = 4.0")
+                       .replace("x = 0.0", "x = 0.5")
+                       .replace("estimator = tilted", "estimator = crude")
+                       .replace("n_reps = 200", "n_reps = 50")
+                       + f"\n[output]\ndirectory = {tmp_path}/out\n")
+        assert main(["estimate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "sampler stall" in err and "'proposals'" in err
+
 
 class TestConsoleScript:
     def test_module_help_runs(self):
@@ -255,3 +270,28 @@ class TestConsoleScript:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "sample" in proc.stdout and "validate" in proc.stdout
+
+    def test_commands_do_not_load_scipy_stats(self, tmp_path):
+        # scipy.stats costs about a second to import; only the law tests and
+        # the Poisson-binomial pmf use it, so it loads on their first call
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(GOOD_CONFIG.replace("estimator = tilted", "estimator = crude")
+                       .replace("n_reps = 200", "n_reps = 50")
+                       + f"\n[output]\ndirectory = {tmp_path}/out\n")
+        script = f"""
+import sys
+import ginibrenet
+from ginibrenet.cli import main
+assert main(["sample", "--process", "palm", "--radius", "2", "--seed", "1",
+             "--out", {str(tmp_path / "pts.csv")!r}]) == 0
+assert main(["rates", "--fading", "weibull_super", "--gamma", "2"]) == 0
+assert main(["estimate", "--config", {str(cfg)!r}]) == 0
+print("after commands:", "scipy.stats" in sys.modules)
+ginibrenet.count_distribution(ginibrenet.DiskRestriction(radius=1.0), 5)
+print("after count_distribution:", "scipy.stats" in sys.modules)
+"""
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "after commands: False" in proc.stdout
+        assert "after count_distribution: True" in proc.stdout

@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special, stats
 
 from ginibrenet.spectral import (DiskRestriction, chernoff_tail_bound,
                                  count_distribution, disk_eigenvalue,
                                  eigenvalues, joint_intensity, laplace_bound,
-                                 log_count_tail, pair_correlation, trace_bound)
+                                 log_count_tail, log_disk_eigenvalue,
+                                 pair_correlation, trace_bound)
 
 
 def pmf_sum_eigenvalue(m, radius_sq, terms=400):
@@ -57,6 +59,22 @@ class TestEigenvalues:
         resolvable = vals < beta * (1.0 - 1e-9)
         sub = vals[resolvable]
         assert np.all(np.diff(sub) < 0)
+
+    @given(m=st.integers(0, 600), log_rsq=st.floats(-3.0, 8.0))
+    @example(m=19, log_rsq=0.0)
+    @example(m=200, log_rsq=0.0)  # deep tail, log P ~ -870
+    @example(m=595, log_rsq=math.log(36.0))
+    @settings(max_examples=200, deadline=None)
+    def test_log_eigenvalue_matches_scipy_poisson(self, m, log_rsq):
+        # the same float as scipy.stats.poisson, radius^2 up to ~3000
+        rsq = math.exp(log_rsq)
+        sf = stats.poisson.sf(m, rsq)
+        if sf > 1e-290:
+            assert log_disk_eigenvalue(m, rsq) == math.log(sf)
+        else:
+            ks = m + 1 + np.arange(200)
+            assert log_disk_eigenvalue(m, rsq) == float(
+                special.logsumexp(stats.poisson.logpmf(ks, rsq)))
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
