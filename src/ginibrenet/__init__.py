@@ -15,10 +15,10 @@ from .rates import (LdpRegime, ProofConstants, growth_function,
 from .samplers import (KostlanReport, kostlan_validation, sample_beta_ginibre,
                        sample_block, sample_ginibre_disk,
                        sample_palm_beta_ginibre, sample_poisson)
-from .spectral import (DiskRestriction, chernoff_tail_bound,
-                       count_distribution, disk_eigenvalue, eigenvalues,
-                       joint_intensity, laplace_bound, log_count_tail,
-                       minimized_chernoff_bound, pair_correlation, trace_bound)
+from .spectral import (DiskRestriction, count_distribution, disk_eigenvalue,
+                       eigenvalues, joint_intensity, laplace_bound,
+                       log_count_tail, minimized_chernoff_bound,
+                       pair_correlation, trace_bound)
 from .estimation import (SlopeReport, TailEstimate, dominating_event_probe,
                          estimate_interference_tail, speed_regression,
                          subexp_sum_ratio)

@@ -26,6 +26,8 @@ from .samplers import (sample_beta_ginibre, sample_ginibre_disk,
 from .validate import run_suite
 
 _PROCESS_CHOICES = ("ginibre", "beta-ginibre", "palm", "poisson")
+# estimates.csv columns read from TailEstimate.diagnostics
+_WEIGHT_COLUMNS = ("ess", "max_weight_share")
 
 
 def _seed(text: str) -> int:
@@ -158,10 +160,12 @@ def cmd_estimate(args) -> int:
         estimates = grid_estimates(cfg.model, cfg.plan.x_grid, cfg.plan.n_reps,
                                    cfg.plan.estimator, RngStream(cfg.plan.seed))
         for x, est in zip(cfg.plan.x_grid, estimates):
+            # the weight diagnostics of a tilted estimate; blank for the others
             rows.append({"x": x, "eps": 1.0, "estimator": est.estimator,
                          "p": est.probability, "stderr": est.stderr,
                          "ci_lo": est.ci95[0], "ci_hi": est.ci95[1],
-                         "n_reps": est.n_reps, "seed": cfg.plan.seed})
+                         "n_reps": est.n_reps, "seed": cfg.plan.seed,
+                         **{k: est.diagnostics.get(k, "") for k in _WEIGHT_COLUMNS}})
         # the slope is fitted to exactly the estimates written above
         report = fit_slope(cfg.regime, cfg.plan.x_grid, [r["p"] for r in rows])
     except (ValueError, CapExceededError) as exc:
@@ -173,7 +177,7 @@ def cmd_estimate(args) -> int:
     with est_path.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["x", "eps", "estimator", "p",
                                                 "stderr", "ci_lo", "ci_hi",
-                                                "n_reps", "seed"])
+                                                "n_reps", "seed", *_WEIGHT_COLUMNS])
         writer.writeheader()
         writer.writerows(rows)
     if report is not None:

@@ -3,11 +3,13 @@
 Estimator variants for P(I_Lambda >= x):
 
 * ``crude``       -- plain indicator averaging.
-* ``tilted``      -- fading marks drawn from the exponentially tilted law and
-                     reweighted by the likelihood ratio; per pattern, the tilt
-                     solves the mean-shift equation so the tilted mean of
-                     sum(L_i Z_i) matches the target level.  Marks only are
-                     tilted, never point positions.
+* ``tilted``      -- fading marks drawn exactly from the exponentially tilted
+                     law (``FadingSpec.sample_tilted``) and reweighted by the
+                     likelihood ratio; per pattern, the tilt solves the
+                     mean-shift equation so the tilted mean of sum(L_i Z_i)
+                     matches the target level, by Newton steps on the tilted
+                     variance (``_pattern_tilt``).  Marks only are tilted,
+                     never point positions.
 * ``single_jump`` -- the Asmussen-Kroese conditional estimator: given the
                      weighted marks w_i = L_i Z_i with sum S, it returns
                      sum_i Fbar(max(max_{j != i} w_j, x - S + w_i) / L_i),
@@ -50,15 +52,11 @@ from .samplers import sample_block
 from .spectral import DiskRestriction, eigenvalues, trace_bound
 
 ESTIMATORS = ("crude", "tilted", "single_jump")
-TILT_DOUBLINGS = 40  # bracket doublings from 1/max gain: tilts up to ~1e12 / max gain
+TILT_DOUBLINGS = 40  # steps of the tilt solve, each at most a doubling, before a bracket
 _BLOCK = 256  # replications drawn and evaluated together
-_ROOT_STEPS = 100  # cap on the false-position steps of the tilt solve
-_ROOT_RTOL = 1e-14  # bracket width, relative to its top, that ends the solve
+_ROOT_STEPS = 100  # cap on the steps of the tilt solve
+_ROOT_RTOL = 1e-14  # step or bracket width, relative to theta, that ends the solve
 _ROOT_GAP_TOL = 1e-14  # relative gap that ends it: a few roundings of the sum
-# cell midpoints of a tilted mark's inverse-CDF grid on [0, 1], and the marks
-# tabulated at once (2 x 4096 doubles, 65 kB a table)
-_DRAW_MIDPOINTS = (np.arange(4096) + 0.5) / 4096
-_DRAW_CHUNK = 2
 
 
 @dataclass
@@ -170,121 +168,107 @@ def _pattern_tilt(fading: FadingSpec, gains: np.ndarray, x: float) -> np.ndarray
     Each mark is tilted at theta times its own attenuation gain, which tilts
     the conditional distribution of I given the pattern directly; the
     estimator stays unbiased because the tilt depends on positions only.
-    Exponential marks solve 1 - x / S(theta) = 0, S(theta) =
-    sum_j L_j / (c - theta L_j), inside [0, c / max L], where S is infinite;
-    for one mark that gap is linear in theta, so the first false-position step
-    is exact.  The other kinds solve sum_j tilted_mean(theta L_j) L_j / x = 1,
-    bracketed by doubling from 1 / max L, at most TILT_DOUBLINGS times.
+    With S(theta) = sum_j tilted_mean(theta L_j) L_j, exponential marks solve
+    1 - x / S(theta) = 0 inside [0, c / max L], where S is infinite; for one
+    mark that gap is linear in theta.  The other kinds solve S(theta) / x = 1.
+    Both gaps increase in theta, and their slopes come from
+    S'(theta) = sum_j tilted_var(theta L_j) L_j^2, taken from the same
+    evaluation as S (one quadrature for ``weibull_super``).  ``_newton``
+    finds the root.
     """
     if fading.kind == "exponential":
         c = fading.c
 
         def gap(theta, g):
+            # q_j = L_j tilted_mean(theta L_j); q_j^2 = L_j^2 tilted_var(theta L_j).
+            # Both sums run over q sorted once, as _row_sum would sort them
             with np.errstate(divide="ignore"):
-                return 1.0 - x / _row_sum(g / (c - theta[:, None] * g))
+                q = np.sort(g / (c - theta[:, None] * g), axis=1)
+            total, total_sq = q.cumsum(axis=1)[:, -1], (q * q).cumsum(axis=1)[:, -1]
+            return 1.0 - x / total, x * total_sq / (total * total)
     else:
         def gap(theta, g):
-            tilted = np.zeros_like(g)
             on = g > 0
-            tilted[on] = fading.tilted_mean((theta[:, None] * g)[on]) * g[on]
-            return _row_sum(tilted) / x - 1.0
+            mean, var = np.zeros_like(g), np.zeros_like(g)
+            mean[on], var[on] = fading.tilted_moments((theta[:, None] * g)[on])
+            return _row_sum(mean * g) / x - 1.0, _row_sum(var * g * g) / x
 
     theta = np.zeros(len(gains))
-    f_lo = gap(theta, gains)
-    rows = np.nonzero(f_lo < 0.0)[0]
+    f_0, slope_0 = gap(theta, gains)
+    rows = np.nonzero(f_0 < 0.0)[0]
     if len(rows) == 0:
         return theta
-    g, f_lo = gains[rows], f_lo[rows]
-    lo = np.zeros(len(rows))
+    g, f_0, slope_0 = gains[rows], f_0[rows], slope_0[rows]
     if fading.kind == "exponential":
         hi = c / g.max(axis=1)
-        f_hi = np.ones(len(rows))
+        start = hi - hi / (1.0 - f_0)  # false position: the gap is 1 at hi
     else:
-        hi = 1.0 / g.max(axis=1)
-        f_hi = gap(hi, g)
-        doublings = 0
-        while (short := f_hi < 0.0).any() and doublings < TILT_DOUBLINGS:
-            lo[short], f_lo[short] = hi[short], f_hi[short]
-            hi[short] *= 2.0
-            f_hi[short] = gap(hi[short], g[short])
-            doublings += 1
-        failed = ~(f_hi >= 0.0)  # the cap, or a tilted mean that overflowed
-        if failed.any():
-            i = int(np.argmax(failed))
-            raise CapExceededError(
-                "tilt bracket search failed: no tilt reaches the target level",
-                diagnostics={"kind": fading.kind, "x": x,
-                             "n_points": int(np.count_nonzero(g[i])),
-                             "gain_sum": float(g[i].sum()),
-                             "gain_max": float(g[i].max()), "theta_hi": float(hi[i]),
-                             "gap_at_theta_hi": float(f_hi[i]), "doublings": doublings})
-    theta[rows] = _false_position(gap, g, lo, hi, f_lo, f_hi,
-                                  {"kind": fading.kind, "x": x})
+        hi = np.full(len(rows), np.inf)
+        start = -f_0 / slope_0  # Newton's step from 0
+    theta[rows] = _newton(gap, g, start, hi, log_steps=fading.kind != "exponential",
+                          context={"kind": fading.kind, "x": x})
     return theta
 
 
-def _false_position(gap, g, lo, hi, f_lo, f_hi, context: dict) -> np.ndarray:
-    """Per row, the root of gap(theta, g), increasing in theta, inside
-    [lo, hi] with gap(lo) < 0 <= gap(hi).
+def _newton(gap, g, t, hi, log_steps: bool, context: dict) -> np.ndarray:
+    """Per row, the root of gap(theta, g), which returns the gap and its
+    slope and increases in theta, from the tilts ``t``; the gap is negative
+    at 0, and ``hi`` is the upper end of the bracket (inf where none is
+    known).
 
-    False position with the Illinois step (an end kept twice running has its
-    gap halved), a midpoint where rounding puts the secant point on an end,
-    and a stop once the bracket is _ROOT_RTOL wide relative to its top or the
-    gap, relative to the level, is within _ROOT_GAP_TOL of 0: there its sign
-    is rounding noise, which could hold one end for many steps.  Rows drop out
-    as they converge.
+    A ratio gap S / x - 1 (``log_steps``) takes Newton's step on log(S / x)
+    in log theta, which is exact where S is a power of theta, as the
+    ``weibull_super`` S is at large tilts; the exponential gap 1 - x / S
+    takes it in theta.  Each evaluation narrows the row's bracket, and two
+    guards keep the steps in it.  Until a row is bracketed, a Newton point
+    past 1.5 theta (or a nan one) is replaced by 2 theta: where the gap is
+    concave, Newton falls short of the root, and the doubling brackets it.  A
+    row still below its root after TILT_DOUBLINGS such steps raises.  Once
+    bracketed, a Newton point outside the bracket (or a nan one) gives way to
+    the midpoint.  A row stops once its gap, relative to the level, is within
+    _ROOT_GAP_TOL of 0, where its sign is rounding noise; once its step is
+    below _ROOT_RTOL of theta, and then takes the stepped point; or once its
+    bracket is _ROOT_RTOL wide relative to its top.  Rows drop out as they
+    converge.
     """
-    root = np.empty(len(lo))
-    act = np.arange(len(lo))
-    moved = np.zeros(len(lo))  # -1: lo moved last, +1: hi moved last
-    for _ in range(_ROOT_STEPS):
-        t = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        t = np.where((t > lo) & (t < hi), t, 0.5 * (lo + hi))
-        f_t = gap(t, g[act])
+    root = np.empty(len(t))
+    act = np.arange(len(t))
+    lo = np.zeros(len(t))
+    for k in range(_ROOT_STEPS):
+        f_t, slope = gap(t, g[act])
         below = f_t < 0.0
-        f_hi = np.where(below & (moved < 0), 0.5 * f_hi, f_hi)
-        f_lo = np.where(~below & (moved > 0), 0.5 * f_lo, f_lo)
-        lo, f_lo = np.where(below, t, lo), np.where(below, f_t, f_lo)
-        hi, f_hi = np.where(below, hi, t), np.where(below, f_hi, f_t)
-        moved = np.where(below, -1.0, 1.0)
-        done = (np.abs(f_t) <= _ROOT_GAP_TOL) | (hi - lo <= _ROOT_RTOL * hi)
-        root[act[done]] = t[done]
+        lo, hi = np.where(below, t, lo), np.where(below, hi, t)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if log_steps:
+                step = t * np.exp(-np.log1p(f_t) * (1.0 + f_t) / (t * slope))
+            else:
+                step = t - f_t / slope
+        inside, unbracketed = (step > lo) & (step < hi), np.isinf(hi)
+        step = np.where(unbracketed, np.where(inside & (step <= 1.5 * t), step, 2.0 * t),
+                        np.where(inside, step, 0.5 * (lo + hi)))
+        settled = np.abs(f_t) <= _ROOT_GAP_TOL
+        done = (settled | (np.abs(step - t) <= _ROOT_RTOL * t)
+                | (~unbracketed & (hi - lo <= _ROOT_RTOL * hi)))
+        failed = ~np.isfinite(f_t) | (unbracketed & ~done & (k == TILT_DOUBLINGS))
+        if failed.any():
+            i = int(np.argmax(failed))
+            row = g[act[i]]
+            raise CapExceededError(
+                "tilt bracket search failed: no tilt reaches the target level",
+                diagnostics={**context, "n_points": int(np.count_nonzero(row)),
+                             "gain_sum": float(row.sum()), "gain_max": float(row.max()),
+                             "theta_hi": float(t[i]), "gap_at_theta_hi": float(f_t[i]),
+                             "doublings": k})
+        root[act[done]] = np.where(settled, t, step)[done]
         keep = ~done
-        act, lo, hi, f_lo, f_hi, moved = (v[keep] for v in (act, lo, hi, f_lo, f_hi, moved))
+        act, t, lo, hi, f_t = (v[keep] for v in (act, step, lo, hi, f_t))
         if len(act) == 0:
             return root
     raise CapExceededError(
         "tilt solve did not converge",
         diagnostics={**context, "steps": _ROOT_STEPS, "rows_left": len(act),
                      "theta_lo": float(lo[0]), "theta_hi": float(hi[0]),
-                     "gap_lo": float(f_lo[0]), "gap_hi": float(f_hi[0])})
-
-
-def _tilted_draw(fading: FadingSpec, theta: np.ndarray,
-                 gen: np.random.Generator) -> np.ndarray:
-    """One draw per positive tilt in ``theta`` from the tilted law of a bounded
-    or ``weibull_super`` mark: the tilted density is read at the midpoints of
-    a 4096-cell grid on [0, top], and a uniform is inverted through the
-    piecewise-linear CDF, _DRAW_CHUNK densities per table."""
-    if fading.kind == "bounded":
-        top = np.full(len(theta), fading.bound)
-    else:  # weibull_super: truncate far beyond the tilted bulk
-        top = 10.0 * np.maximum(fading.tilted_mean(theta), 1.0)
-    u = gen.random(len(theta))
-    out = np.empty(len(theta))
-    cells = len(_DRAW_MIDPOINTS)
-    for lo in range(0, len(theta), _DRAW_CHUNK):
-        sl = slice(lo, lo + _DRAW_CHUNK)
-        mid = top[sl, None] * _DRAW_MIDPOINTS
-        logd = fading.log_pdf(mid) + theta[sl, None] * mid
-        cdf = np.cumsum(np.exp(logd - logd.max(axis=1, keepdims=True)), axis=1)
-        target = u[sl] * cdf[:, -1]
-        cell = np.minimum(np.sum(cdf <= target[:, None], axis=1), cells - 1)
-        rows = np.arange(len(cdf))
-        below = np.where(cell > 0, cdf[rows, cell - 1], 0.0)
-        frac = (target - below) / np.maximum(cdf[rows, cell] - below, 1e-300)
-        out[sl] = top[sl] * (cell + frac) / cells
-    return out
+                     "theta": float(t[0]), "gap": float(f_t[0])})
 
 
 def _crude(model: NetworkModel, x: float):
@@ -297,8 +281,9 @@ def _crude(model: NetworkModel, x: float):
 
 
 def _tilted(model: NetworkModel, x: float):
-    """Evaluator of the likelihood-ratio-weighted 1{I >= x}, marks tilted at
-    the per-pattern tilt times their own gains (``_pattern_tilt``)."""
+    """Evaluator of the likelihood-ratio-weighted 1{I >= x}, marks drawn
+    from their laws tilted at the per-pattern tilt times their own gains
+    (``_pattern_tilt``)."""
     fading = model.fading
 
     def evaluate(dist, gen):
@@ -310,14 +295,7 @@ def _tilted(model: NetworkModel, x: float):
         theta = np.zeros(len(gains))
         theta[possible] = _pattern_tilt(fading, gains[possible], x)
         tilt = theta[:, None] * gains
-        z = fading.sample(gains.shape, gen)
-        if fading.kind == "exponential":
-            # the tilted law of mark j is Exp(c - theta L_j): scale the variates
-            z *= fading.c / (fading.c - tilt)
-        else:
-            on = tilt > 0.0
-            z[on] = _tilted_draw(fading, tilt[on], gen)
-        i_val = _row_sum(z * gains)
+        i_val = _row_sum(fading.sample_tilted(tilt, gen) * gains)
         hit = possible & (i_val >= x)
         return np.exp(np.where(hit, _row_sum(fading.log_mgf(tilt)) - theta * i_val,
                                -np.inf))

@@ -183,23 +183,50 @@ class FadingSpec:
 
     def tilted_mean(self, theta):
         """Mean of the exponentially tilted law, d/dtheta log MGF."""
+        return self.tilted_moments(theta)[0]
+
+    def tilted_var(self, theta):
+        """Variance of the exponentially tilted law, d^2/dtheta^2 log MGF."""
+        return self.tilted_moments(theta)[1]
+
+    def tilted_moments(self, theta):
+        """(``tilted_mean``, ``tilted_var``) from one evaluation: one
+        quadrature for ``weibull_super``."""
         theta = self._tilts(theta)
         pos = theta[theta > 0]
         if self.kind == "exponential":
-            val = 1.0 / (self.c - pos)
+            mean = 1.0 / (self.c - pos)
+            var = mean * mean
         elif self.kind == "bounded":
-            # B a/s M(a+1, s+1, t) / M(a, s, t); Kummer's e^t factors cancel
-            s = self.beta_a + self.beta_b
+            # U = Z / B has density u^(a-1) (1-u)^(b-1) e^(tu); its moments are
+            # ratios of Kummer functions, whose e^t factors cancel.  The
+            # variance is that of V = 1 - U, whose moments do not cancel as
+            # the law piles up at u = 1
+            a, b, s = self.beta_a, self.beta_b, self.beta_a + self.beta_b
             t = pos * self.bound
-            num = self.beta_a / s * special.hyp1f1(self.beta_b, s + 1, -t)
-            den = special.hyp1f1(self.beta_b, s, -t)
-            val = self.bound * num / den
+            den = special.hyp1f1(b, s, -t)
+            mean = self.bound * (a / s * special.hyp1f1(b, s + 1, -t)) / den
+            v1 = b / s * special.hyp1f1(b + 1, s + 1, -t) / den
+            v2 = b * (b + 1) / (s * (s + 1)) * special.hyp1f1(b + 2, s + 2, -t) / den
+            var = self.bound ** 2 * (v2 - v1 * v1)
         else:
-            val = self._weibull_tilt(pos)[1]
-        return _at_positive(theta, val, self.mean())
+            _, mean, var = self._weibull_tilt(pos)
+        return (_at_positive(theta, mean, self.mean()),
+                _at_positive(theta, var, self._variance()))
 
-    def _weibull_tilt(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(log MGF, tilted mean) of ``weibull_super`` at positive tilts.
+    def _variance(self) -> float:
+        """Variance of the untilted law of a light-tailed kind."""
+        if self.kind == "exponential":
+            return 1.0 / self.c ** 2
+        if self.kind == "bounded":
+            a, b = self.beta_a, self.beta_b
+            return self.bound ** 2 * a * b / ((a + b) ** 2 * (a + b + 1))
+        m2 = self.c ** (-2.0 / self.gamma) * math.gamma(1.0 + 2.0 / self.gamma)
+        return m2 - self.mean() ** 2
+
+    def _weibull_tilt(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(log MGF, tilted mean, tilted variance) of ``weibull_super`` at
+        positive tilts.
 
         In s = log z, E[Z^k e^(theta Z)] is the integral of
         c g exp((g + k) s + theta e^s - c e^(g s)): analytic in s, unimodal,
@@ -208,46 +235,57 @@ class FadingSpec:
         and doubling outwards, over a span of 2^j times the curvature scale
         at the mode, j the first at which the integrand has fallen by
         e^_QUAD_DROP.  Exponents are taken relative to the mode (expm1), so
-        tilts where e^(theta z) overflows lose no precision, and both moments
-        share the nodes, so the tilted mean is a weighted average of z.
+        tilts where e^(theta z) overflows lose no precision, and all moments
+        share the nodes.  With t = s - s_m, the tilted mean is z_m (1 + m),
+        m the weighted average of e^t - 1, and the variance the weighted
+        average of z_m^2 (e^t - 1 - m)^2, so a narrow law loses no digits to
+        cancellation.
         """
         c, g = self.c, self.gamma
-        log_mgf, mean = np.empty(len(theta)), np.empty(len(theta))
+        log_mgf, mean, var = (np.empty(len(theta)) for _ in range(3))
         for lo in range(0, len(theta), _QUAD_CHUNK):
             th = theta[lo:lo + _QUAD_CHUNK]
             z = self._weibull_mode(th)
             tz, czg = th * z, c * z ** g
 
-            def rel(t):  # exponent at s_m + t minus that at s_m, k = 0
-                return g * t + tz[:, None] * np.expm1(t) - czg[:, None] * np.expm1(g * t)
+            def rel(t, e1):  # exponent at s_m + t minus that at s_m, k = 0; e1 = e^t - 1
+                return g * t + tz[:, None] * e1 - czg[:, None] * np.expm1(g * t)
 
             scale = 1.0 / np.sqrt((g - 1.0) * tz + g * g)
             spans = []
             for side in (-1.0, 1.0):
                 with np.errstate(over="ignore", invalid="ignore"):
                     # rungs far past the first deep one can overflow to nan
-                    deep = ~(rel(side * scale[:, None] * _QUAD_LADDER) > -_QUAD_DROP)
+                    rung = side * scale[:, None] * _QUAD_LADDER
+                    deep = ~(rel(rung, np.expm1(rung)) > -_QUAD_DROP)
                 spans.append(scale * _QUAD_LADDER[np.argmax(deep, axis=1)])
             span = np.where(_QUAD_NODES < 0, spans[0][:, None], spans[1][:, None])
             t = span * _QUAD_NODES
-            w = span * _QUAD_WEIGHTS * np.exp(rel(t))
+            e1 = np.expm1(t)
+            w = span * _QUAD_WEIGHTS * np.exp(rel(t, e1))
             total = w.sum(axis=1)
-            log_mgf[lo:lo + _QUAD_CHUNK] = (math.log(c * g) + g * np.log(z) + tz - czg
-                                            + np.log(total))
-            mean[lo:lo + _QUAD_CHUNK] = z * (w * np.exp(t)).sum(axis=1) / total
-        return log_mgf, mean
+            shift = (w * e1).sum(axis=1) / total  # mean / z_m - 1
+            dev = e1 - shift[:, None]
+            sl = slice(lo, lo + _QUAD_CHUNK)
+            log_mgf[sl] = math.log(c * g) + g * np.log(z) + tz - czg + np.log(total)
+            mean[sl] = z * (1.0 + shift)
+            var[sl] = z * z * (w * dev * dev).sum(axis=1) / total
+        return log_mgf, mean, var
 
-    def _weibull_mode(self, theta: np.ndarray) -> np.ndarray:
-        """Mode z of z^g exp(theta z - c z^g): the root of
-        h(z) = g + theta z - c g z^g, which is concave with h(0) > 0, so Newton
-        from a point right of the root decreases to it monotonically.  Each
-        entry stops on its own, so its mode does not depend on its neighbours."""
+    def _weibull_mode(self, theta: np.ndarray, k: float = 0.0) -> np.ndarray:
+        """Mode z of z^(g + k) exp(theta z - c z^g), k > -g: the root of
+        h(z) = g + k + theta z - c g z^g, which is concave with h(0) > 0, so
+        Newton from a point right of the root decreases to it monotonically.
+        k = 0 is the mode in s = log z of ``_weibull_tilt``'s integrand, and
+        k = -1 that of the tilted density in z.  Each entry stops on its own,
+        so its mode does not depend on its neighbours."""
         c, g = self.c, self.gamma
-        z = np.maximum((2.0 * theta / (c * g)) ** (1.0 / (g - 1.0)), (2.0 / c) ** (1.0 / g))
+        z = np.maximum((2.0 * theta / (c * g)) ** (1.0 / (g - 1.0)),
+                       (2.0 * (g + k) / (c * g)) ** (1.0 / g))
         act = np.arange(len(theta))
         for _ in range(_MODE_STEPS):
             th, za = theta[act], z[act]
-            step = (g + th * za - c * g * za ** g) / (th - c * g * g * za ** (g - 1.0))
+            step = (g + k + th * za - c * g * za ** g) / (th - c * g * g * za ** (g - 1.0))
             z[act] = za = za - step
             moving = np.abs(step) > 1e-13 * za
             act, step, za = act[moving], step[moving], za[moving]
@@ -259,6 +297,154 @@ class FadingSpec:
             diagnostics={"c": c, "gamma": g, "theta": float(theta[act[worst]]),
                          "z": float(za[worst]), "last_step": float(step[worst]),
                          "steps": _MODE_STEPS, "entries_left": len(act)})
+
+    # -- tilted draws ------------------------------------------------------
+
+    def sample_tilted(self, theta, gen: np.random.Generator):
+        """One draw per entry of the tilts ``theta`` (a float for a scalar)
+        from the exponentially tilted law, density e^(theta z) f(z) /
+        MGF(theta); an entry of 0 draws from the law itself.
+
+        Exponential marks tilted by theta are Exp(c - theta).  The bounded and
+        ``weibull_super`` tilted laws are log-concave, and are drawn exactly
+        by rejection (``_bounded_tilted``, ``_weibull_tilted``), vectorized
+        over the draws still pending, at most _DRAW_ROUNDS rounds.
+        """
+        theta = self._tilts(theta)
+        z = np.asarray(self.sample(theta.shape, gen))
+        if self.kind == "exponential":
+            z = z * (self.c / (self.c - theta))
+        else:
+            on = theta > 0
+            draw = self._bounded_tilted if self.kind == "bounded" else self._weibull_tilted
+            z[on] = draw(theta[on], gen)
+        return z if z.ndim else float(z)
+
+    def _bounded_tilted(self, theta: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+        """Tilted Beta(a, b) marks on [0, B], a >= 1, at positive tilts.
+
+        V = 1 - Z / B has density v^(b-1) (1-v)^(a-1) e^(-tv) on (0, 1),
+        t = theta B.  With l = t + a - 1 the proposal is Gamma(b, rate l) cut
+        to (0, 1), by inversion (gammaincinv), and is accepted with
+        probability ((1 - v) e^v)^(a-1) <= 1.  Below l = 1, where the cut
+        Gamma CDF underflows for large b, the proposal is instead Beta(b, 1),
+        v = U^(1/b), accepted with probability ((1 - v) e^v)^(a-1) e^(-l v).
+        """
+        a, b = self.beta_a, self.beta_b
+        if a < 1:
+            raise ValueError(
+                f"tilted bounded marks need the Beta shape beta_a >= 1 (got "
+                f"beta_a = {a}): the tilted draw proposes from a Gamma law in "
+                f"1 - z / B and accepts with probability (1 - v)^(beta_a - 1)")
+        lam = theta * self.bound + (a - 1.0)
+        small = lam < 1.0
+        cut = special.gammainc(b, lam)  # the proposal's mass in (0, 1)
+
+        def propose(idx, u):
+            v = np.where(small[idx], u ** (1.0 / b),
+                         special.gammaincinv(b, u * cut[idx]) / lam[idx])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_acc = ((a - 1.0) * (np.log1p(-v) + v)
+                           - np.where(small[idx], lam[idx] * v, 0.0))
+            return v, log_acc
+
+        v = _rejection_loop(propose, theta, gen, {"kind": "bounded", "beta_a": a,
+                                                  "beta_b": b, "bound": self.bound})
+        return self.bound * (1.0 - v)
+
+    def _weibull_tilted(self, theta: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+        """Tilted ``weibull_super`` marks at positive tilts, by transformed
+        density rejection (Hoermann, ACM TOMS 21, 1995) with a three-piece
+        exponential hat.
+
+        The tilted density z^(g-1) exp(theta z - c z^g) is log-concave for
+        g > 1.  In y = z / z_m - 1, z_m its mode, its log relative to the mode
+        is h(y) = (g-1) (log1p(y) - y) - A ((1+y)^g - 1 - g y), A = c z_m^g,
+        which keeps its digits where z_m reaches 1e17 and the law is 1e-10
+        wide.  The hat is min(0, the tangents of h at y_l < 0 < y_r), the
+        tangent points one curvature scale s = ((g-1)(1 + g A))^(-1/2) from
+        the mode (y_l = -s / (1 + s), inside the support y > -1): an
+        exponential piece on (-1, b_l), a flat top on [b_l, b_r], and an
+        exponential tail past b_r.
+        """
+        c, g = self.c, self.gamma
+        zm = self._weibull_mode(theta, -1.0)
+        big_a = c * zm ** g
+
+        def log_rel(y, a):  # h(y), with A = a
+            return (g - 1.0) * (np.log1p(y) - y) - a * _pow1p_excess(y, g)
+
+        def slope(y, a):  # h'(y)
+            return -(g - 1.0) * y / (1.0 + y) - a * g * np.expm1((g - 1.0) * np.log1p(y))
+
+        s = 1.0 / np.sqrt((g - 1.0) * (1.0 + g * big_a))
+        y_l, y_r = -s / (1.0 + s), s
+        k_l, k_r = slope(y_l, big_a), slope(y_r, big_a)
+        b_l = y_l - log_rel(y_l, big_a) / k_l
+        b_r = y_r - log_rel(y_r, big_a) / k_r
+        area_l = -np.expm1(-k_l * (b_l + 1.0)) / k_l
+        area_m = b_r - b_l
+        total = area_l + area_m - 1.0 / k_r
+
+        def propose(idx, u):
+            kl, kr, bl, br, al, am, tot = (q[idx] for q in (k_l, k_r, b_l, b_r, area_l,
+                                                            area_m, total))
+            pick = u * tot
+            left, right = pick < al, pick >= al + am
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                back = -np.log1p(pick / al * np.expm1(-kl * (bl + 1.0))) / kl
+                past = -np.log((pick - al - am) / (tot - al - am))
+                y = np.where(left, bl - back, np.where(right, br - past / kr, bl + pick - al))
+                hat = np.where(left, -kl * back, np.where(right, -past, 0.0))
+                return y, log_rel(y, big_a[idx]) - hat
+
+        y = _rejection_loop(propose, theta, gen, {"kind": "weibull_super", "c": c, "gamma": g})
+        return zm * (1.0 + y)
+
+
+def _rejection_loop(propose, theta: np.ndarray, gen: np.random.Generator,
+                    context: dict) -> np.ndarray:
+    """One accepted proposal per tilt in ``theta``.  Each round draws two
+    uniforms per pending entry: ``propose(pending, u)`` maps the first to a
+    proposal and its log acceptance probability, and the second accepts it.
+    Raises CapExceededError after _DRAW_ROUNDS rounds."""
+    out = np.empty(len(theta))
+    pending = np.arange(len(theta))
+    proposals = 0
+    for _ in range(_DRAW_ROUNDS):
+        u = gen.random((2, len(pending)))
+        value, log_acc = propose(pending, u[0])
+        proposals += len(pending)
+        with np.errstate(over="ignore"):
+            accept = u[1] < np.exp(log_acc)  # a nan proposal is rejected
+        out[pending[accept]] = value[accept]
+        pending = pending[~accept]
+        if len(pending) == 0:
+            return out
+    raise CapExceededError(
+        "tilted mark draw hit its cap",
+        diagnostics={**context, "rounds": _DRAW_ROUNDS, "draws": len(theta),
+                     "pending": len(pending), "proposals": proposals,
+                     "theta_pending_min": float(theta[pending].min()),
+                     "theta_pending_max": float(theta[pending].max())})
+
+
+def _pow1p_excess(y: np.ndarray, g: float) -> np.ndarray:
+    """(1 + y)^g - 1 - g y without cancellation: its binomial series where
+    |y| < _SERIES_Y, so the error is a few ulps of the result."""
+    y = np.asarray(y, dtype=float)
+    with np.errstate(invalid="ignore"):
+        out = np.expm1(g * np.log1p(y)) - g * y
+    near = np.abs(y) < _SERIES_Y
+    yn = y[near]
+    coef = [g * (g - 1.0) / 2.0]
+    for k in range(2, _SERIES_TERMS + 1):
+        coef.append(coef[-1] * (g - k) / (k + 1))
+    acc = np.zeros_like(yn)
+    for ck in reversed(coef):
+        acc = ck + yn * acc
+    out[near] = yn * yn * acc
+    return out
 
 
 def _at_positive(theta: np.ndarray, val: np.ndarray, at_zero: float):
@@ -301,3 +487,9 @@ _QUAD_LADDER = 2.0 ** np.arange(48)
 _QUAD_DROP = 50.0
 _QUAD_CHUNK = 256
 _MODE_STEPS = 100
+# tilted draws (``FadingSpec.sample_tilted``): the cap on rejection rounds,
+# and the |y| below which (1 + y)^g - 1 - g y takes its binomial series,
+# with the number of its terms (the first one left out is below 1e-17 of it)
+_DRAW_ROUNDS = 1000
+_SERIES_Y = 1e-3
+_SERIES_TERMS = 6

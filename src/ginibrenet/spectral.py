@@ -193,23 +193,14 @@ def joint_intensity(points: list[complex]) -> float:
     return float(max(det, 0.0) * math.exp(np.sum(sq)))
 
 
-def chernoff_tail_bound(model: "NetworkModel", x: float, eps: float,
-                        theta: float) -> float:
-    """Rigorous upper bound on P(eps * I_Lambda >= x) via mark-MGF tilting.
-
-    Uses the enclosing disk b(O, Rtilde) around the origin, its thinned
-    eigenvalue sequence, and exp(-theta x + sum_m log(1 + (M - 1) kappa_m))
-    with M the fading MGF at theta * eps * R^(-alpha).
-    """
-    if x <= 0 or eps <= 0 or theta <= 0:
-        raise ValueError("x, eps and theta must all be positive")
-    log_bound = float(_log_chernoff(model, x, eps, np.array([theta]))[0])
-    return float(min(1.0, np.exp(min(log_bound, 0.0))))
-
-
 def _log_chernoff(model: "NetworkModel", x: float, eps: float,
                   thetas: np.ndarray) -> np.ndarray:
-    """log of ``chernoff_tail_bound``'s bound, before its cap at 1, per tilt."""
+    """log of the Chernoff bound on P(eps * I_Lambda >= x), per mark tilt.
+
+    Uses the enclosing disk b(O, Rtilde) around the origin, its thinned
+    eigenvalue sequence, and -theta x + sum_m log(1 + (M - 1) kappa_m), with
+    M the fading MGF at theta * eps * R^(-alpha).
+    """
     r_enclose = abs(model.window.center) + model.window.radius
     restriction = DiskRestriction(radius=r_enclose, beta=model.beta, palm_shift=False)
     vals = eigenvalues(restriction)

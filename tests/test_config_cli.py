@@ -208,9 +208,15 @@ class TestCliEstimate:
         code = main(["estimate", "--config", str(cfg)])
         assert code == 0
         est = (tmp_path / "out" / "estimates.csv").read_text().splitlines()
-        assert est[0] == "x,eps,estimator,p,stderr,ci_lo,ci_hi,n_reps,seed"
+        assert est[0] == ("x,eps,estimator,p,stderr,ci_lo,ci_hi,n_reps,seed,"
+                          "ess,max_weight_share")
         assert len(est) == 4
         assert (tmp_path / "out" / "slope.csv").exists()
+        # a tilted estimate writes its weight diagnostics; ESS >= 1 / share
+        for row in csv.DictReader(est):
+            ess, share = float(row["ess"]), float(row["max_weight_share"])
+            assert 0.0 < share <= 1.0 and 1.0 - 1e-12 <= share * ess
+            assert ess <= float(row["n_reps"])
 
     def test_slope_fitted_to_the_written_estimates(self, tmp_path):
         cfg = tmp_path / "sj.ini"
@@ -222,7 +228,9 @@ class TestCliEstimate:
             + f"\n[output]\ndirectory = {tmp_path}/out\n")
         assert main(["estimate", "--config", str(cfg)]) == 0
         with (tmp_path / "out" / "estimates.csv").open(newline="") as fh:
-            p = {float(row["x"]): float(row["p"]) for row in csv.DictReader(fh)}
+            rows = list(csv.DictReader(fh))
+        p = {float(row["x"]): float(row["p"]) for row in rows}
+        assert {(row["ess"], row["max_weight_share"]) for row in rows} == {("", "")}
         with (tmp_path / "out" / "slope.csv").open(newline="") as fh:
             rows = list(csv.reader(fh))
         kept = rows[1:rows.index([])]

@@ -124,6 +124,13 @@ class TestEstimatorConsistency:
         with pytest.raises(ValueError, match="unknown estimator"):
             estimate_interference_tail(model(), 1.0, 10, "mlmc", RngStream(0))
 
+    def test_tilted_refuses_bounded_shape_below_one(self):
+        # the tilted Beta draw proposes from a Gamma law in 1 - z / B and
+        # accepts with probability (1 - v)^(a - 1), which needs a >= 1
+        with pytest.raises(ValueError, match="beta_a"):
+            estimate_interference_tail(model(kind="bounded", beta_a=0.5), 1.2, 10,
+                                       "tilted", RngStream(0))
+
     def test_zero_hit_flagged(self):
         est = estimate_interference_tail(model(), 500.0, 50, "crude", RngStream(77))
         assert est.probability == 0.0
@@ -147,6 +154,9 @@ class TestTiltBracket:
 
             def tilted_mean(self, theta):
                 return 1.0 - 0.5 / (1.0 + theta)
+
+            def tilted_moments(self, theta):  # the tilted mean and its slope
+                return self.tilted_mean(theta), 0.5 / (1.0 + theta) ** 2
 
         with pytest.raises(CapExceededError, match="bracket") as exc:
             _pattern_tilt(Saturating(), np.array([[1.0, 0.5]]), 1.5)

@@ -1,14 +1,15 @@
 """Fading laws: survival/density identities, MGFs, sampling moments."""
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, optimize, stats
 
 from ginibrenet import fading
-from ginibrenet.errors import MgfDivergenceError
+from ginibrenet.errors import CapExceededError, MgfDivergenceError
 from ginibrenet.fading import FadingSpec
 from ginibrenet.patterns import RngStream
 
@@ -234,3 +235,176 @@ class TestMgf:
         f = FadingSpec(kind="weibull_super", c=1.0, gamma=2.0)
         means = [f.tilted_mean(th) for th in (0.0, 1.0, 3.0, 10.0)]
         assert all(b > a for a, b in zip(means, means[1:]))
+
+
+# -- tilted draws -----------------------------------------------------------
+
+# (spec, theta) cases for the tilted draws: bounded tilts theta B from 1e-3
+# to 1e7, weibull_super shapes 1.2 to 3 up to theta = 3000, where the mode of
+# the gamma = 1.2 law is about 1e17 and the law is about 1e-10 wide
+TILTED_CASES = (
+    [(FadingSpec(kind="bounded", bound=2.0, beta_a=a, beta_b=b), tb / 2.0)
+     for a, b in ((2.0, 2.0), (1.0, 5.0), (3.0, 0.5))
+     for tb in (1e-3, 1.0, 30.0, 3e3, 1e7)]
+    + [(FadingSpec(kind="weibull_super", c=c, gamma=g), th)
+       for g, c in ((1.2, 1.0), (2.0, 1.0), (3.0, 0.5))
+       for th in (0.01, 1.0, 30.0, 3e3)]
+    + [(FadingSpec(kind="exponential", c=2.0), th) for th in (0.5, 1.9)])
+TILTED_DRAWS = 20_000
+
+
+def case_id(case):
+    spec, theta = case
+    shape = {"bounded": f"a{spec.beta_a:g}b{spec.beta_b:g}",
+             "weibull_super": f"g{spec.gamma:g}c{spec.c:g}", "exponential": ""}[spec.kind]
+    return f"{spec.kind}{shape}-theta{theta:g}"
+
+
+@lru_cache(maxsize=None)
+def tilted_draws(spec, theta):
+    return spec.sample_tilted(np.full(TILTED_DRAWS, theta),
+                              RngStream(2026, TILTED_CASES.index((spec, theta))).generator())
+
+
+def ks_pvalue(u, log_density, lower, upper):
+    """One-sample KS p-value of the points ``u`` against the density
+    exp(log_density) on (lower, upper), normalized and integrated here: the
+    16-point Gauss-Legendre rule between consecutive order statistics, and
+    adaptive quadrature on the two end pieces."""
+    u = np.sort(u)
+    x, w = np.polynomial.legendre.leggauss(16)
+    a, b = u[:-1, None], u[1:, None]
+    inner = ((b - a) / 2 * w * np.exp(log_density((a + b) / 2 + (b - a) / 2 * x))).sum(axis=1)
+
+    def end(lo, hi):
+        return integrate.quad(lambda v: math.exp(log_density(np.array([v]))[0]), lo, hi,
+                              epsabs=1e-10, epsrel=1e-8, limit=200)[0]
+
+    cdf = np.cumsum(np.concatenate(([end(lower, u[0])], inner)))
+    cdf /= cdf[-1] + end(u[-1], upper)
+    n = len(u)
+    d = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+    return stats.kstwo.sf(d, n)
+
+
+def tilted_ks_pvalue(spec, theta, z):
+    """KS p-value of tilted marks ``z`` against the tilted density, written
+    here in coordinates where the law is about unit wide."""
+    if spec.kind == "exponential":
+        return stats.kstest(z, stats.expon(scale=1.0 / (spec.c - theta)).cdf).pvalue
+    if spec.kind == "bounded":
+        # v = 1 - z / B has density v^(b-1) (1 - v)^(a-1) e^(-t v), t = theta B;
+        # in w = max(t, 1) v the bulk is about unit wide
+        a, b, t = spec.beta_a, spec.beta_b, theta * spec.bound
+        scale = max(t, 1.0)
+
+        def log_density(w):
+            v = w / scale
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return (b - 1) * np.log(v) + (a - 1) * np.log1p(-v) - t * v
+        return ks_pvalue(scale * (1.0 - z / spec.bound), log_density, 0.0, scale)
+    # weibull_super: s = log z has density exp(g s + theta e^s - c e^(g s)).
+    # Relative to its mode s_m = log z_m, where g + theta z_m = c g z_m^g,
+    # the exponent is theta z_m phi(t) - c z_m^g phi(g t), t = s - s_m,
+    # phi(u) = e^u - 1 - u; in units of the sample spread of t
+    c, g = spec.c, spec.gamma
+    log_zm = optimize.brentq(lambda r: g + theta * math.exp(r) - c * g * math.exp(g * r),
+                             -50.0, 50.0, xtol=1e-15)
+    zm = math.exp(log_zm)
+    t = np.log(z) - log_zm
+    spread = float(np.std(t))
+
+    def phi(u):
+        near = u * u / 2 * (1 + u / 3 * (1 + u / 4 * (1 + u / 5 * (1 + u / 6 * (1 + u / 7)))))
+        with np.errstate(over="ignore"):
+            return np.where(np.abs(u) < 1e-2, near, np.expm1(u) - u)
+
+    def log_density(u):
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = theta * zm * phi(spread * u) - c * zm ** g * phi(g * spread * u)
+        return np.where(np.isnan(out), -np.inf, out)
+    return ks_pvalue(t / spread, log_density, -np.inf, np.inf)
+
+
+def table_draw(spec, theta, n, gen):
+    """n tilted draws that invert a piecewise-linear CDF read at the midpoints
+    of a 4096-cell grid on [0, 10 max(tilted mean, 1)]: a biased sampler,
+    kept here to show that the tests below reject it."""
+    grid = 10.0 * max(spec.tilted_mean(theta), 1.0) * (np.arange(4096) + 0.5) / 4096
+    logd = spec.log_pdf(grid) + theta * grid
+    cdf = np.cumsum(np.exp(logd - logd.max()))
+    target = gen.random(n) * cdf[-1]
+    cell = np.minimum(np.searchsorted(cdf, target, side="right"), 4095)
+    below = np.where(cell > 0, cdf[cell - 1], 0.0)
+    frac = (target - below) / np.maximum(cdf[cell] - below, 1e-300)
+    return grid[-1] / (4095.5 / 4096) * (cell + frac) / 4096
+
+
+class TestTiltedDraws:
+    @pytest.mark.parametrize("case", TILTED_CASES, ids=case_id)
+    def test_moments_match_tilted_mean_and_var(self, case):
+        spec, theta = case
+        z = tilted_draws(spec, theta)
+        mean, var = spec.tilted_moments(theta)
+        assert (mean, var) == (spec.tilted_mean(theta), spec.tilted_var(theta))
+        n = len(z)
+        dev = z - z.mean()
+        assert abs(z.mean() - mean) <= 4 * math.sqrt(var / n)
+        # the sample variance's standard error, from the fourth central moment
+        se_var = math.sqrt(max(np.mean(dev ** 4) - var * var, 0.0) / n)
+        assert abs(np.mean(dev ** 2) - var) <= 4 * se_var
+
+    @pytest.mark.parametrize("case", TILTED_CASES, ids=case_id)
+    def test_ks_against_tilted_density(self, case):
+        spec, theta = case
+        assert tilted_ks_pvalue(spec, theta, tilted_draws(spec, theta)) > 1e-3
+
+    def test_table_sampler_fails_the_ks_test(self):
+        # the 4096-cell table sampler the estimator once used: at gamma = 1.2,
+        # theta = 30 its variance is far too high, and the KS test sees it
+        spec, theta = FadingSpec(kind="weibull_super", c=1.0, gamma=1.2), 30.0
+        z = table_draw(spec, theta, TILTED_DRAWS, RngStream(2027).generator())
+        assert tilted_ks_pvalue(spec, theta, z) < 1e-6
+        assert tilted_ks_pvalue(spec, theta, tilted_draws(spec, theta)) > 1e-3
+
+    @pytest.mark.parametrize("spec, theta", [
+        (FadingSpec(kind="exponential", c=2.0), 1.3),
+        (FadingSpec(kind="bounded", bound=2.0, beta_a=2.0, beta_b=3.0), 0.8),
+        (FadingSpec(kind="bounded", bound=1.0), 40.0),
+        (FadingSpec(kind="weibull_super", c=1.0, gamma=1.2), 2.0),
+        (FadingSpec(kind="weibull_super", c=1.0, gamma=2.0), 5.0),
+        (FadingSpec(kind="weibull_super", c=0.5, gamma=3.0), 30.0)])
+    def test_tilted_var_is_second_difference_of_log_mgf(self, spec, theta):
+        h = 1e-3 * theta
+        second = (spec.log_mgf(theta + h) - 2 * spec.log_mgf(theta)
+                  + spec.log_mgf(theta - h)) / (h * h)
+        assert spec.tilted_var(theta) == pytest.approx(second, rel=1e-5)
+
+    def test_zero_tilt_draws_the_law_itself(self):
+        spec = FadingSpec(kind="weibull_super", c=1.0, gamma=2.0)
+        theta = np.array([[0.0, 3.0], [0.0, 0.0]])
+        z = spec.sample_tilted(np.broadcast_to(theta, (50_000, 2, 2)), gen(8))
+        assert z.shape == (50_000, 2, 2)
+        untilted = z[:, theta == 0.0].ravel()
+        se = math.sqrt(spec.tilted_var(0.0) / len(untilted))
+        assert abs(untilted.mean() - spec.mean()) <= 4 * se
+        assert spec.tilted_var(0.0) == pytest.approx(
+            math.gamma(2.0) - math.gamma(1.5) ** 2, rel=1e-14)
+
+    @pytest.mark.parametrize("spec, theta, kind", [
+        (FadingSpec(kind="bounded", bound=1.0), 0.01, "bounded"),
+        (FadingSpec(kind="weibull_super", c=1.0, gamma=2.0), 1.0, "weibull_super")])
+    def test_draw_cap_raises_with_diagnostics(self, spec, theta, kind, monkeypatch):
+        # one round accepts about 60 % (bounded) or 80 % of the proposals
+        monkeypatch.setattr(fading, "_DRAW_ROUNDS", 1)
+        with pytest.raises(CapExceededError, match="cap") as exc:
+            spec.sample_tilted(np.full(1000, theta), gen(9))
+        diag = exc.value.diagnostics
+        assert diag["kind"] == kind and diag["rounds"] == 1
+        assert diag["proposals"] == 1000 and 0 < diag["pending"] < 1000
+        assert diag["theta_pending_max"] == theta
+
+    def test_bounded_shape_below_one_is_refused(self):
+        spec = FadingSpec(kind="bounded", bound=1.0, beta_a=0.5, beta_b=2.0)
+        with pytest.raises(ValueError, match="beta_a"):
+            spec.sample_tilted(np.array([1.0]), gen())

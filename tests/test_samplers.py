@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, stats
 
 from ginibrenet import samplers
 from ginibrenet.errors import SamplerStallError
@@ -20,7 +20,8 @@ from ginibrenet.samplers import (KOSTLAN_ORDERS, kostlan_validation,
                                  sample_beta_ginibre, sample_block,
                                  sample_ginibre_disk, sample_palm_beta_ginibre,
                                  sample_poisson)
-from ginibrenet.spectral import DiskRestriction, count_distribution, trace_bound
+from ginibrenet.spectral import (DiskRestriction, count_distribution, pair_correlation,
+                                 trace_bound)
 from ginibrenet.validate import chisquare_vs_pmf
 
 
@@ -218,25 +219,45 @@ class TestCountMoments:
         assert chisquare_vs_pmf(gen_counts, pmf) > 0.01
 
 
+def close_pairs(pts, cutoff):
+    """Unordered pairs of ``pts`` closer than ``cutoff``."""
+    d = np.abs(pts[:, None] - pts[None, :])
+    return int(np.sum((d > 0) & (d < cutoff))) // 2
+
+
+def exact_close_pairs(radius, cutoff):
+    """Mean number of Ginibre pairs closer than ``cutoff`` in b(0, radius):
+    (1 / 2 pi^2) int_0^cutoff g(t) A(t) 2 pi t dt, with g the pair
+    correlation and A(t) the area of the disk met by its shift by t.  The
+    restricted process has the correlation functions of the infinite one."""
+    def overlap(t):
+        return (2 * radius ** 2 * math.acos(t / (2 * radius))
+                - t / 2 * math.sqrt(4 * radius ** 2 - t * t))
+    return integrate.quad(lambda t: pair_correlation(0j, t) * overlap(t) * 2 * math.pi * t,
+                          0.0, cutoff)[0] / (2 * math.pi ** 2)
+
+
 class TestRepulsion:
     def test_small_distance_deficit_vs_poisson(self):
-        """Ginibre pair counts below distance 1 fall one-sidedly under the
-        Poisson baseline (1000 patterns at radius 8)."""
+        """Ginibre pair counts below distance 1 (1000 patterns at radius 8)
+        match the exact Ginibre mean, and fall one-sidedly under the Poisson
+        baseline.  Patterns with the same moduli but uniform angles keep
+        every count in an origin-centred disk, and fail the exact mean."""
         radius, cutoff, n_pat = 8.0, 1.0, 1000
-        gin = np.zeros(n_pat)
-        poi = np.zeros(n_pat)
         ginibre = sample_block(DiskRestriction(radius=radius),
                                [RngStream(40, i) for i in range(n_pat)])
-        for i in range(n_pat):
-            for pts, acc in ((ginibre[i], gin),
-                             (sample_poisson(radius, 1 / np.pi, RngStream(41, i)).points, poi)):
-                if len(pts) < 2:
-                    continue
-                d = np.abs(pts[:, None] - pts[None, :])
-                acc[i] = np.sum((d > 0) & (d < cutoff)) // 2
+        gin = np.array([close_pairs(pts, cutoff) for pts in ginibre])
+        poi = np.array([close_pairs(sample_poisson(radius, 1 / np.pi, RngStream(41, i)).points,
+                                    cutoff) for i in range(n_pat)])
+        exact = exact_close_pairs(radius, cutoff)  # 11.04; 30.30 for Poisson
+        assert abs(gin.mean() - exact) <= 3 * gin.std() / math.sqrt(n_pat)
         # one-sided: the Ginibre short-range pair rate must sit clearly below
         se = math.sqrt(gin.var() / n_pat + poi.var() / n_pat)
         assert gin.mean() < poi.mean() - 3 * se
+        rng = np.random.default_rng(42)
+        spun = np.array([close_pairs(np.abs(pts) * np.exp(2j * np.pi * rng.random(len(pts))),
+                                     cutoff) for pts in ginibre])
+        assert abs(spun.mean() - exact) > 3 * spun.std() / math.sqrt(n_pat)
 
 
 class TestPalmCountLaw:

@@ -7,11 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from ginibrenet.spectral import (DiskRestriction, chernoff_tail_bound,
-                                 count_distribution, disk_eigenvalue,
-                                 eigenvalues, joint_intensity, laplace_bound,
-                                 log_count_tail, log_disk_eigenvalue,
-                                 pair_correlation, trace_bound)
+from ginibrenet.spectral import (DiskRestriction, count_distribution,
+                                 disk_eigenvalue, eigenvalues, joint_intensity,
+                                 laplace_bound, log_count_tail,
+                                 log_disk_eigenvalue, pair_correlation,
+                                 trace_bound)
 
 
 def pmf_sum_eigenvalue(m, radius_sq, terms=400):
@@ -194,25 +194,3 @@ class TestBounds:
         restriction = DiskRestriction(radius=1.5)
         values = [laplace_bound(restriction, th) for th in (0.0, 0.5, 1.0, 2.0)]
         assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_chernoff_bound_in_unit_interval_and_decreasing_in_x(self):
-        from ginibrenet.fading import FadingSpec
-        from ginibrenet.interference import DiskWindow, NetworkModel
-        model = NetworkModel(beta=1.0, window=DiskWindow(radius=2.0), receiver=0j,
-                             atten_R=1.0, atten_alpha=4.0,
-                             fading=FadingSpec(kind="exponential", c=1.0))
-        vals = [chernoff_tail_bound(model, x, eps=1.0, theta=0.5)
-                for x in (8.0, 12.0, 16.0)]
-        assert all(0.0 < v <= 1.0 for v in vals)
-        assert vals[0] > vals[1] > vals[2]
-
-    def test_chernoff_bound_rejects_bad_args(self):
-        from ginibrenet.fading import FadingSpec
-        from ginibrenet.interference import DiskWindow, NetworkModel
-        model = NetworkModel(beta=1.0, window=DiskWindow(radius=2.0), receiver=0j,
-                             atten_R=1.0, atten_alpha=4.0,
-                             fading=FadingSpec(kind="exponential", c=1.0))
-        with pytest.raises(ValueError):
-            chernoff_tail_bound(model, -1.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            chernoff_tail_bound(model, 1.0, 1.0, 0.0)
