@@ -5,18 +5,15 @@ Monte Carlo estimators."""
 
 from .errors import CapExceededError, MgfDivergenceError, SamplerStallError
 from .fading import FADING_KINDS, FadingSpec
-from .interference import (DiskWindow, MarkedPattern, NetworkModel,
-                           attenuation, interference, sinr, success_threshold)
+from .interference import DiskWindow, NetworkModel, attenuation
 from .patterns import (PointPattern, RngStream, read_pattern_csv,
                        write_pattern_csv)
 from .rates import (LdpRegime, ProofConstants, growth_function,
                     poisson_comparison, proof_constants, rate, speed,
                     tail_asymptote, weibull_rate_constant)
-from .samplers import (KostlanReport, kostlan_validation, sample_beta_ginibre,
-                       sample_block, sample_ginibre_disk,
-                       sample_palm_beta_ginibre, sample_poisson)
-from .spectral import (DiskRestriction, count_distribution, disk_eigenvalue,
-                       eigenvalues, joint_intensity, laplace_bound,
+from .samplers import (KostlanReport, kostlan_validation, sample_block,
+                       sample_pattern, sample_poisson)
+from .spectral import (DiskRestriction, count_distribution, eigenvalues,
                        log_count_tail, minimized_chernoff_bound,
                        pair_correlation, trace_bound)
 from .estimation import (SlopeReport, TailEstimate, dominating_event_probe,

@@ -21,8 +21,8 @@ from .fading import FADING_KINDS, FadingSpec
 from .patterns import RngStream, pattern_csv_text, write_pattern_csv
 from .rates import (LdpRegime, growth_function, poisson_comparison, rate,
                     speed, tail_asymptote)
-from .samplers import (sample_beta_ginibre, sample_ginibre_disk,
-                       sample_palm_beta_ginibre, sample_poisson)
+from .samplers import sample_pattern, sample_poisson
+from .spectral import DiskRestriction
 from .validate import run_suite
 
 _PROCESS_CHOICES = ("ginibre", "beta-ginibre", "palm", "poisson")
@@ -66,8 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Draw one pattern (Ginibre / thinned Ginibre / reduced "
                     "Palm / Poisson of intensity 1/pi) on a centered disk.")
     p_sample.add_argument("--process", choices=_PROCESS_CHOICES, required=True)
-    p_sample.add_argument("--beta", type=float, default=1.0,
-                          help="thinning retention in (0, 1] (default 1)")
+    p_sample.add_argument("--beta", type=float, default=None,
+                          help="thinning retention in (0, 1] of beta-ginibre "
+                               "and palm (default 1)")
     p_sample.add_argument("--radius", type=float, required=True,
                           help="disk radius (positive)")
     p_sample.add_argument("--out", type=Path, default=None,
@@ -116,17 +117,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_sample(args) -> int:
-    seed = _resolve_seed(args)
-    stream = RngStream(seed)
+    if args.beta is not None and args.process in ("ginibre", "poisson"):
+        print(f"error: --beta does not apply to --process {args.process}",
+              file=sys.stderr)
+        return 2
+    stream = RngStream(_resolve_seed(args))
     try:
-        if args.process == "ginibre":
-            pat = sample_ginibre_disk(args.radius, stream)
-        elif args.process == "beta-ginibre":
-            pat = sample_beta_ginibre(args.beta, args.radius, stream)
-        elif args.process == "palm":
-            pat = sample_palm_beta_ginibre(args.beta, args.radius, stream)
+        if args.process == "poisson":
+            pat = sample_poisson(args.radius, stream)
         else:
-            pat = sample_poisson(args.radius, 1.0 / 3.141592653589793, stream)
+            pat = sample_pattern(DiskRestriction(
+                radius=args.radius, beta=1.0 if args.beta is None else args.beta,
+                palm_shift=args.process == "palm"), stream)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,7 +2,8 @@
 
 Format: one ``key = value`` per line under ``[section]`` headers.  Sections:
 
-* ``process``      -- kind (beta_ginibre | palm_beta_ginibre), beta, radius
+* ``process``      -- kind (palm_beta_ginibre, the only value: estimation
+                      always uses the reduced Palm process), beta, radius
 * ``receiver``     -- x, y coordinates of the receiver
 * ``attenuation``  -- R, alpha
 * ``fading``       -- kind plus ``FadingSpec`` parameters (bound, beta_a,
@@ -137,10 +138,10 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
             raise ConfigError(f"{path}: missing required section [{section}]")
 
     kind = rd.get("process", "kind")
-    if kind not in ("beta_ginibre", "palm_beta_ginibre"):
+    if kind != "palm_beta_ginibre":
         rd.fail("process", "kind",
-                f"unsupported process kind {kind!r} for estimation "
-                "(use beta_ginibre or palm_beta_ginibre)")
+                f"unsupported process kind {kind!r}: estimation always uses "
+                "the reduced Palm process (palm_beta_ginibre)")
     beta = rd.get_float("process", "beta")
     radius = rd.get_float("process", "radius")
 

@@ -178,9 +178,6 @@ class FadingSpec:
             val = self._weibull_tilt(pos)[0]
         return _at_positive(theta, val, 0.0)
 
-    def mgf(self, theta):
-        return np.exp(self.log_mgf(theta))
-
     def tilted_mean(self, theta):
         """Mean of the exponentially tilted law, d/dtheta log MGF."""
         return self.tilted_moments(theta)[0]

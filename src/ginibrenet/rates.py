@@ -155,17 +155,13 @@ def poisson_comparison(regime: LdpRegime) -> float:
 class ProofConstants:
     kappa_opt: float
     block_n: int
-    gamma_prime: float
-    gamma_tilde: float
-    theta_tilt: float
 
 
 def proof_constants(regime: LdpRegime, x: float, eps: float) -> ProofConstants:
-    """Constants of the Weibull lower-bound block construction and upper-bound tilt.
+    """Constants of the Weibull lower-bound block construction.
 
     kappa_opt maximizes the block lower bound; block_n is the size of the
-    dominating event's mark block at scale eps; gamma_prime is the MGF
-    asymptote constant and theta_tilt the Chernoff tilt used in the proof.
+    dominating event's mark block at scale eps.
     """
     if regime.kind != "weibull_super":
         raise ValueError("proof constants are defined for the weibull_super regime only")
@@ -176,11 +172,4 @@ def proof_constants(regime: LdpRegime, x: float, eps: float) -> ProofConstants:
     kappa_opt = (c * (g * g - 1.0) * (ra * x) ** g / g) ** (1.0 / (g + 1.0))
     log_inv = math.log(1.0 / eps)
     block_n = int(kappa_opt / (eps ** (g / (g + 1.0)) * log_inv ** (1.0 / (g + 1.0))))
-    gamma_prime = (g - 1.0) * g ** (-g / (g - 1.0)) * c ** (-1.0 / (g - 1.0))
-    gamma_tilde = 0.5 * (ra * g / (g - 1.0)) ** ((g - 1.0) / (g + 1.0)) \
-        * (c * (g + 1.0)) ** (2.0 / (g + 1.0))
-    ratio = x / eps
-    theta_tilt = ra * gamma_tilde / eps * (ratio * math.log(ratio)) ** ((g - 1.0) / (g + 1.0))
-    return ProofConstants(kappa_opt=kappa_opt, block_n=block_n,
-                          gamma_prime=gamma_prime, gamma_tilde=gamma_tilde,
-                          theta_tilt=theta_tilt)
+    return ProofConstants(kappa_opt=kappa_opt, block_n=block_n)

@@ -7,15 +7,15 @@ the eigenfunction mixture (a truncated Gamma radius plus a uniform angle) and
 are accepted with the residual-kernel ratio after projecting out the feature
 vectors of the points already placed.
 
-Thinning acts on the spectrum: the beta samplers draw the eigenfunctions from
-the beta-thinned spectrum (see ``spectral``) and shrink the points by
+Thinning acts on the spectrum: a beta < 1 draw takes its eigenfunctions from
+the beta-thinned spectrum (see ``spectral``) and shrinks the points by
 sqrt(beta), so no point is placed and then discarded.
 
 Draws come in blocks: ``sample_block`` takes one stream per pattern and
 advances groups of patterns, sorted by point count, one acceptance each per
 numpy step.  Each pattern still reads its own generator in the order of a
 lone draw, so a pattern does not depend on the block it is drawn in, and the
-single-pattern samplers are blocks of one.
+single-pattern sampler ``sample_pattern`` is a block of one.
 """
 from __future__ import annotations
 
@@ -254,8 +254,8 @@ def _sample_projection_points(restriction: DiskRestriction, gens: list
 def sample_block(restriction: DiskRestriction,
                  streams: list[RngStream]) -> list[np.ndarray]:
     """Exact draws of the determinantal process of ``restriction``, one array
-    of complex points per stream, advanced together.  Pattern i is the one
-    the single-pattern sampler of ``restriction`` draws on ``streams[i]``."""
+    of complex points per stream, advanced together.  Pattern i depends on
+    ``streams[i]`` alone, not on the block it is drawn in."""
     points = []
     for start in range(0, len(streams), _BLOCK):  # bounds the live generators
         points += _sample_projection_points(
@@ -263,48 +263,27 @@ def sample_block(restriction: DiskRestriction,
     return points
 
 
-def _draw_one(restriction: DiskRestriction, rng: RngStream) -> np.ndarray:
-    return _sample_projection_points(restriction, [rng.generator()])[0][0]
+def sample_pattern(restriction: DiskRestriction, rng: RngStream) -> PointPattern:
+    """Exact draw of the determinantal process of ``restriction``: the Ginibre
+    process on b(O, radius), thinned with retention beta and shrunk by
+    sqrt(beta), and with ``palm_shift`` its reduced Palm version at the
+    origin (monomials z^m, m >= 1; the origin is never among the points)."""
+    if restriction.palm_shift:
+        kind = "palm_beta_ginibre"
+    else:
+        kind = "ginibre" if restriction.beta == 1.0 else "beta_ginibre"
+    return PointPattern(points=sample_block(restriction, [rng])[0],
+                        window_radius=restriction.radius, process_kind=kind,
+                        beta=restriction.beta, seed=rng.master_seed)
 
 
-def sample_ginibre_disk(radius: float, rng: RngStream) -> PointPattern:
-    """Exact draw of the Ginibre determinantal process restricted to b(O, radius)."""
-    return PointPattern(points=_draw_one(DiskRestriction(radius=radius), rng),
-                        window_radius=radius, process_kind="ginibre",
-                        beta=1.0, seed=rng.master_seed)
-
-
-def sample_beta_ginibre(beta: float, window_radius: float,
-                        rng: RngStream) -> PointPattern:
-    """Exact draw of the Ginibre process thinned with retention beta and shrunk
-    by sqrt(beta), restricted to b(O, window_radius)."""
-    restriction = DiskRestriction(radius=window_radius, beta=beta)
-    return PointPattern(points=_draw_one(restriction, rng),
-                        window_radius=window_radius, process_kind="beta_ginibre",
-                        beta=beta, seed=rng.master_seed)
-
-
-def sample_palm_beta_ginibre(beta: float, window_radius: float,
-                             rng: RngStream) -> PointPattern:
-    """Reduced Palm version at the origin of the beta-Ginibre process.
-
-    The reduced Palm kernel drops the constant eigenfunction (monomials z^m,
-    m >= 1).  The origin itself is never among the points.
-    """
-    restriction = DiskRestriction(radius=window_radius, beta=beta, palm_shift=True)
-    return PointPattern(points=_draw_one(restriction, rng),
-                        window_radius=window_radius, process_kind="palm_beta_ginibre",
-                        beta=beta, seed=rng.master_seed)
-
-
-def sample_poisson(window_radius: float, intensity: float, rng: RngStream) -> PointPattern:
-    """Homogeneous Poisson process on a disk."""
+def sample_poisson(window_radius: float, rng: RngStream) -> PointPattern:
+    """Homogeneous Poisson process of intensity 1/pi, the intensity of every
+    beta-Ginibre process, on a disk."""
     if not window_radius > 0:
         raise ValueError("window_radius must be positive")
-    if not intensity > 0:
-        raise ValueError("intensity must be positive")
     gen = rng.generator()
-    n = gen.poisson(intensity * math.pi * window_radius ** 2)
+    n = gen.poisson(window_radius ** 2)  # mean count: intensity times area
     r = window_radius * np.sqrt(gen.random(n))
     angle = 2.0 * math.pi * gen.random(n)
     return PointPattern(points=r * np.exp(1j * angle),

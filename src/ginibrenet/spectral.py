@@ -62,19 +62,6 @@ class DiskRestriction:
         return self.radius * self.radius / self.beta  # libm's ** 2 can be 1 ulp off
 
 
-def disk_eigenvalue(m: int, radius: float) -> float:
-    """m-th eigenvalue of the Ginibre kernel on b(O, radius): P(Po(radius^2) >= m+1).
-
-    The regularized lower incomplete gamma function is the Poisson survival
-    function, P(Gamma(m+1, 1) <= r^2) = P(Po(r^2) >= m+1).
-    """
-    if m < 0:
-        raise ValueError("eigenvalue index must be nonnegative")
-    if not (np.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be positive and finite, got {radius}")
-    return float(special.gammainc(m + 1, radius ** 2))
-
-
 def log_disk_eigenvalue(m: int, radius_sq: float) -> float:
     """log P(Po(radius_sq) >= m+1), usable far below float underflow."""
     # scipy.stats.poisson's sf and logpmf formulas, without importing
@@ -111,14 +98,6 @@ def eigenvalues(restriction: DiskRestriction, tol: float = DEFAULT_TOL) -> np.nd
 def trace_bound(restriction: DiskRestriction, tol: float = DEFAULT_TOL) -> float:
     """Sum of the eigenvalue sequence; equals radius^2 for the non-Palm kernel."""
     return float(np.sum(eigenvalues(restriction, tol)))
-
-
-def laplace_bound(restriction: DiskRestriction, theta: float) -> float:
-    """prod_m (1 + (e^theta - 1) kappa_m), evaluated in log space."""
-    if theta < 0:
-        raise ValueError(f"theta must be nonnegative, got {theta}")
-    vals = eigenvalues(restriction)
-    return float(np.exp(np.sum(np.log1p(np.expm1(theta) * vals))))
 
 
 def count_distribution(restriction: DiskRestriction, max_n: int,
@@ -175,22 +154,6 @@ def log_count_tail(restriction: DiskRestriction, m: int) -> float:
 def pair_correlation(x1: complex, x2: complex) -> float:
     """Ginibre pair correlation 1 - exp(-|x1 - x2|^2); at most 1 (repulsion)."""
     return float(-np.expm1(-abs(complex(x1) - complex(x2)) ** 2))
-
-
-def joint_intensity(points: list[complex]) -> float:
-    """k-point joint intensity det(K(x_i, x_j)) of the Ginibre kernel.
-
-    The empty determinant is 1 by convention.  The raw entries e^{x conj(y)}
-    overflow for distant points, so the common factor e^{|x_i|^2/2} per
-    row/column is pulled out of the determinant first.
-    """
-    if len(points) == 0:
-        return 1.0
-    z = np.asarray(points, dtype=complex)
-    sq = np.abs(z) ** 2
-    expo = np.outer(z, z.conj()) - 0.5 * (sq[:, None] + sq[None, :])
-    det = np.linalg.det(np.exp(expo)).real
-    return float(max(det, 0.0) * math.exp(np.sum(sq)))
 
 
 def _log_chernoff(model: "NetworkModel", x: float, eps: float,

@@ -74,6 +74,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="estimator"):
             load_config(p)
 
+    def test_beta_ginibre_kind_refused(self, tmp_path):
+        # every estimator draws the reduced Palm process, so this kind would
+        # run the same model as palm_beta_ginibre
+        p = tmp_path / "bad.ini"
+        p.write_text(GOOD_CONFIG.replace("kind = palm_beta_ginibre", "kind = beta_ginibre"))
+        with pytest.raises(ConfigError,
+                           match=r"bad\.ini:2: \[process\] kind: .*reduced Palm process"):
+            load_config(p)
+
     def test_seed_override(self, tmp_path):
         p = tmp_path / "exp.ini"
         p.write_text(GOOD_CONFIG)
@@ -120,6 +129,30 @@ class TestCliSample:
         capsys.readouterr()
         assert main(args) == 0
         assert capsys.readouterr().out == out.read_text()
+
+    @pytest.mark.parametrize("process", ["ginibre", "poisson"])
+    def test_beta_is_a_usage_error_where_it_does_nothing(self, tmp_path, capsys,
+                                                         process):
+        out = tmp_path / "pat.csv"
+        assert main(["sample", "--process", process, "--beta", "0.3", "--radius",
+                     "2", "--seed", "1", "--out", str(out)]) == 2
+        assert "--beta" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("variants, label", [
+        ([["beta-ginibre"], ["beta-ginibre", "--beta", "1"], ["ginibre"]], "ginibre"),
+        ([["palm"], ["palm", "--beta", "1"]], "palm_beta_ginibre"),
+    ], ids=["beta-ginibre", "palm"])
+    def test_beta_defaults_to_one(self, capsys, variants, label):
+        # beta = 1 thins nothing: beta-ginibre draws the Ginibre pattern and
+        # labels it so
+        texts = set()
+        for args in variants:
+            assert main(["sample", "--process", *args, "--radius", "3",
+                         "--seed", "5"]) == 0
+            texts.add(capsys.readouterr().out)
+        (text,) = texts
+        assert text.startswith(f"# process={label} beta=1.0 ")
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         out = tmp_path / "pat.csv"

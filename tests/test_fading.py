@@ -143,7 +143,7 @@ class TestSampling:
 class TestMgf:
     def test_exponential_closed_form_and_divergence(self):
         f = FadingSpec(kind="exponential", c=2.0)
-        assert f.mgf(1.0) == pytest.approx(2.0, rel=1e-12)
+        assert np.exp(f.log_mgf(1.0)) == pytest.approx(2.0, rel=1e-12)
         with pytest.raises(MgfDivergenceError):
             f.log_mgf(2.0)
 
@@ -158,7 +158,7 @@ class TestMgf:
                          (FadingSpec(kind="bounded", bound=2.0), 0.7)):
             draws = f.sample(400_000, gen(11))
             mc = float(np.mean(np.exp(theta * draws)))
-            assert f.mgf(theta) == pytest.approx(mc, rel=0.02)
+            assert np.exp(f.log_mgf(theta)) == pytest.approx(mc, rel=0.02)
 
     def test_tilted_mean_is_log_mgf_derivative(self):
         h = 1e-5

@@ -17,9 +17,7 @@ from ginibrenet import samplers
 from ginibrenet.errors import SamplerStallError
 from ginibrenet.patterns import RngStream
 from ginibrenet.samplers import (KOSTLAN_ORDERS, kostlan_validation,
-                                 sample_beta_ginibre, sample_block,
-                                 sample_ginibre_disk, sample_palm_beta_ginibre,
-                                 sample_poisson)
+                                 sample_block, sample_pattern, sample_poisson)
 from ginibrenet.spectral import (DiskRestriction, count_distribution, pair_correlation,
                                  trace_bound)
 from ginibrenet.validate import chisquare_vs_pmf
@@ -27,36 +25,39 @@ from ginibrenet.validate import chisquare_vs_pmf
 
 class TestDeterminism:
     def test_ginibre_bit_identical(self):
-        a = sample_ginibre_disk(3.0, RngStream(11, 2))
-        b = sample_ginibre_disk(3.0, RngStream(11, 2))
+        a = sample_pattern(DiskRestriction(radius=3.0), RngStream(11, 2))
+        b = sample_pattern(DiskRestriction(radius=3.0), RngStream(11, 2))
         assert np.array_equal(a.points, b.points)
 
     def test_beta_and_palm_bit_identical(self):
-        for fn in (sample_beta_ginibre, sample_palm_beta_ginibre):
-            a = fn(0.5, 2.0, RngStream(13, 4))
-            b = fn(0.5, 2.0, RngStream(13, 4))
+        for palm in (False, True):
+            restriction = DiskRestriction(radius=2.0, beta=0.5, palm_shift=palm)
+            a = sample_pattern(restriction, RngStream(13, 4))
+            b = sample_pattern(restriction, RngStream(13, 4))
             assert np.array_equal(a.points, b.points)
 
     def test_different_seeds_differ(self):
-        a = sample_ginibre_disk(3.0, RngStream(1))
-        b = sample_ginibre_disk(3.0, RngStream(2))
+        a = sample_pattern(DiskRestriction(radius=3.0), RngStream(1))
+        b = sample_pattern(DiskRestriction(radius=3.0), RngStream(2))
         assert len(a) != len(b) or not np.array_equal(a.points, b.points)
+
+    @pytest.mark.parametrize("beta, palm, kind", [
+        (1.0, False, "ginibre"),
+        (0.5, False, "beta_ginibre"),
+        (1.0, True, "palm_beta_ginibre"),
+        (0.5, True, "palm_beta_ginibre"),
+    ])
+    def test_provenance_comes_from_the_restriction(self, beta, palm, kind):
+        pat = sample_pattern(DiskRestriction(radius=2.5, beta=beta, palm_shift=palm),
+                             RngStream(17, 3))
+        assert (pat.process_kind, pat.beta, pat.window_radius, pat.seed) == \
+            (kind, beta, 2.5, 17)
 
 
 # sha256 of the patterns the single-pattern samplers drew before they became
-# block draws, generated with:
-#
-#   h = hashlib.sha256()
-#   for r in (1.0, 2.5, 6.0):
-#       for i in range(20):
-#           pts = sample_ginibre_disk(r, RngStream(2024, i)).points
-#           h.update(len(pts).to_bytes(4, "little") + pts.tobytes())
-#       for beta in (1.0, 0.5, 0.1):
-#           for fn in (sample_beta_ginibre, sample_palm_beta_ginibre):
-#               for i in range(20):
-#                   pts = fn(beta, r, RngStream(2024, i)).points
-#                   h.update(len(pts).to_bytes(4, "little") + pts.tobytes())
-#   h.hexdigest()
+# block draws: ``pattern_digest`` over the PINNED_CASES in order, each drawn on
+# the streams RngStream(2024, i), i = 0..19.  The "ginibre" case and the
+# non-Palm beta = 1 case draw the same restriction.
 PINNED_DIGEST = "51f1d4d165aabf41b265c6f1b065528f923eca2877c0fa6c1e40baffcaabb167"
 PINNED_CASES = [(r, kind, beta) for r in (1.0, 2.5, 6.0)
                 for kind, beta in [("ginibre", 1.0)] + [(kind, beta)
@@ -77,10 +78,9 @@ class TestPinnedOutput:
     streams = [RngStream(2024, i) for i in range(20)]
 
     def test_single_draws_match_the_pinned_digest(self):
-        samplers_by_kind = {"ginibre": lambda beta, r, s: sample_ginibre_disk(r, s),
-                            "beta": sample_beta_ginibre,
-                            "palm": sample_palm_beta_ginibre}
-        patterns = [samplers_by_kind[kind](beta, r, stream).points
+        patterns = [sample_pattern(DiskRestriction(radius=r, beta=beta,
+                                                   palm_shift=kind == "palm"),
+                                   stream).points
                     for r, kind, beta in PINNED_CASES for stream in self.streams]
         assert pattern_digest(patterns) == PINNED_DIGEST
 
@@ -132,33 +132,39 @@ class TestBlockDraws:
 class TestGeometry:
     def test_points_inside_window(self):
         for i in range(10):
-            pat = sample_ginibre_disk(2.5, RngStream(20, i))
+            pat = sample_pattern(DiskRestriction(radius=2.5), RngStream(20, i))
             assert np.all(np.abs(pat.points) <= 2.5 + 1e-12)
-            pat = sample_beta_ginibre(0.4, 1.5, RngStream(21, i))
+            pat = sample_pattern(DiskRestriction(radius=1.5, beta=0.4),
+                                 RngStream(21, i))
             assert np.all(np.abs(pat.points) <= 1.5 + 1e-12)
 
     def test_palm_excludes_origin(self):
         for i in range(20):
-            pat = sample_palm_beta_ginibre(1.0, 2.0, RngStream(22, i))
+            pat = sample_pattern(DiskRestriction(radius=2.0, palm_shift=True),
+                                 RngStream(22, i))
             if len(pat):
                 assert np.min(np.abs(pat.points)) > 0
 
     def test_no_duplicate_points(self):
-        pat = sample_ginibre_disk(4.0, RngStream(23))
+        pat = sample_pattern(DiskRestriction(radius=4.0), RngStream(23))
         assert len(np.unique(pat.points)) == len(pat)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            sample_ginibre_disk(-1.0, RngStream(0))
+            sample_pattern(DiskRestriction(radius=-1.0), RngStream(0))
         with pytest.raises(ValueError):
-            sample_beta_ginibre(0.0, 1.0, RngStream(0))
+            sample_pattern(DiskRestriction(radius=1.0, beta=0.0), RngStream(0))
         with pytest.raises(ValueError):
-            sample_palm_beta_ginibre(1.2, 1.0, RngStream(0))
+            sample_pattern(DiskRestriction(radius=1.0, beta=1.2, palm_shift=True),
+                           RngStream(0))
+        with pytest.raises(ValueError):
+            sample_poisson(-1.0, RngStream(0))
 
     def test_stall_diagnostics_name_the_restriction(self, monkeypatch):
         monkeypatch.setattr(samplers, "STALL_CAP", -1)  # stall before any proposal
         with pytest.raises(SamplerStallError) as exc:
-            sample_palm_beta_ginibre(0.5, 3.0, RngStream(0))
+            sample_pattern(DiskRestriction(radius=3.0, beta=0.5, palm_shift=True),
+                           RngStream(0))
         diag = exc.value.diagnostics
         assert (diag["radius"], diag["beta"], diag["palm_shift"]) == (3.0, 0.5, True)
         assert diag["placed"] == 0 < diag["target_points"]
@@ -212,7 +218,7 @@ class TestCountMoments:
         assert abs(np.mean(counts) - expected) < 4 * se
 
     def test_poisson_count_law(self):
-        gen_counts = np.array([len(sample_poisson(2.0, 1 / np.pi, RngStream(33, i)))
+        gen_counts = np.array([len(sample_poisson(2.0, RngStream(33, i)))
                                for i in range(3000)])
         pmf = stats.poisson(4.0).pmf(np.arange(30))
         assert np.mean(gen_counts) == pytest.approx(4.0, abs=0.15)
@@ -247,7 +253,7 @@ class TestRepulsion:
         ginibre = sample_block(DiskRestriction(radius=radius),
                                [RngStream(40, i) for i in range(n_pat)])
         gin = np.array([close_pairs(pts, cutoff) for pts in ginibre])
-        poi = np.array([close_pairs(sample_poisson(radius, 1 / np.pi, RngStream(41, i)).points,
+        poi = np.array([close_pairs(sample_poisson(radius, RngStream(41, i)).points,
                                     cutoff) for i in range(n_pat)])
         exact = exact_close_pairs(radius, cutoff)  # 11.04; 30.30 for Poisson
         assert abs(gin.mean() - exact) <= 3 * gin.std() / math.sqrt(n_pat)

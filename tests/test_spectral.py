@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from ginibrenet.spectral import (DiskRestriction, count_distribution,
-                                 disk_eigenvalue, eigenvalues, joint_intensity,
-                                 laplace_bound, log_count_tail,
+                                 eigenvalues, log_count_tail,
                                  log_disk_eigenvalue, pair_correlation,
                                  trace_bound)
 
@@ -24,14 +23,16 @@ def pmf_sum_eigenvalue(m, radius_sq, terms=400):
 class TestEigenvalues:
     def test_frozen_values_radius_one(self):
         # kappa_0 = 1 - e^-1, kappa_1 = 1 - 2 e^-1
-        assert disk_eigenvalue(0, 1.0) == pytest.approx(0.6321205588285577, abs=1e-15)
-        assert disk_eigenvalue(1, 1.0) == pytest.approx(0.26424111765711533, abs=1e-15)
+        vals = eigenvalues(DiskRestriction(radius=1.0))
+        assert vals[0] == pytest.approx(0.6321205588285577, abs=1e-15)
+        assert vals[1] == pytest.approx(0.26424111765711533, abs=1e-15)
 
     def test_matches_pmf_summation_oracle(self):
-        for m in (0, 1, 3, 7, 15):
-            for r in (0.5, 1.0, 2.0):
-                assert disk_eigenvalue(m, r) == pytest.approx(
-                    pmf_sum_eigenvalue(m, r * r), rel=1e-12)
+        # kappa_15 at r = 0.5 is about 1e-23: below the default cut
+        for r in (0.5, 1.0, 2.0):
+            vals = eigenvalues(DiskRestriction(radius=r), tol=1e-300)
+            for m in (0, 1, 3, 7, 15):
+                assert vals[m] == pytest.approx(pmf_sum_eigenvalue(m, r * r), rel=1e-12)
 
     def test_thinned_leading_eigenvalue(self):
         # beta kappa_0(r / sqrt(beta)) = 0.5 (1 - e^-2) at beta=0.5, r=1
@@ -78,11 +79,9 @@ class TestEigenvalues:
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            disk_eigenvalue(-1, 1.0)
+            DiskRestriction(radius=-1.0)
         with pytest.raises(ValueError):
-            disk_eigenvalue(0, -1.0)
-        with pytest.raises(ValueError):
-            disk_eigenvalue(0, math.inf)
+            DiskRestriction(radius=math.inf)
         with pytest.raises(ValueError):
             DiskRestriction(radius=0.0)
         with pytest.raises(ValueError):
@@ -164,33 +163,11 @@ class TestKernelFunctions:
         assert pair_correlation(0j, 1 + 0j) == pytest.approx(1 - math.exp(-1), rel=1e-14)
         assert pair_correlation(1j, 1j + 0.5) == pytest.approx(1 - math.exp(-0.25), rel=1e-14)
 
-    def test_joint_intensity_empty_and_single(self):
-        assert joint_intensity([]) == 1.0
-        # one-point intensity K(x, x) = e^(|x|^2) w.r.t. the Gaussian reference
-        assert joint_intensity([0.3 + 0.4j]) == pytest.approx(
-            math.exp(0.25), rel=1e-12)
-
-    def test_joint_intensity_coincident_points_vanishes(self):
-        assert joint_intensity([1 + 1j, 1 + 1j]) == pytest.approx(0.0, abs=1e-8)
-
-    @given(st.lists(st.complex_numbers(max_magnitude=3.0, allow_nan=False,
-                                       allow_infinity=False), min_size=1, max_size=5))
-    @settings(max_examples=50, deadline=None)
-    def test_joint_intensity_nonnegative(self, pts):
-        assert joint_intensity(pts) >= 0.0
-
     def test_pair_matches_two_point_determinant(self):
         x1, x2 = 0.2 + 0.1j, -0.4 + 0.5j
-        # det K / (K11 K22) = 1 - g(x1, x2) with unit diagonal normalization
-        ratio = joint_intensity([x1, x2]) / (joint_intensity([x1]) * joint_intensity([x2]))
+        # det K / (K11 K22) = 1 - g(x1, x2), K(x, y) = e^(x conj(y)) the
+        # kernel w.r.t. the Gaussian reference
+        z = np.array([x1, x2])
+        kernel = np.exp(np.outer(z, z.conj()))
+        ratio = np.linalg.det(kernel).real / (kernel[0, 0] * kernel[1, 1]).real
         assert ratio == pytest.approx(pair_correlation(x1, x2), rel=1e-10)
-
-
-class TestBounds:
-    def test_laplace_bound_at_zero_is_one(self):
-        assert laplace_bound(DiskRestriction(radius=1.0), 0.0) == pytest.approx(1.0)
-
-    def test_laplace_bound_increasing_in_theta(self):
-        restriction = DiskRestriction(radius=1.5)
-        values = [laplace_bound(restriction, th) for th in (0.0, 0.5, 1.0, 2.0)]
-        assert all(b > a for a, b in zip(values, values[1:]))
