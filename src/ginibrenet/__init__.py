@@ -12,7 +12,7 @@ from .rates import (LdpRegime, ProofConstants, growth_function,
                     poisson_comparison, proof_constants, rate, speed,
                     tail_asymptote, weibull_rate_constant)
 from .samplers import (KostlanReport, kostlan_validation, sample_block,
-                       sample_pattern, sample_poisson)
+                       sample_counts, sample_pattern, sample_poisson)
 from .spectral import (DiskRestriction, count_distribution, eigenvalues,
                        log_count_tail, minimized_chernoff_bound,
                        pair_correlation, trace_bound)

@@ -16,6 +16,10 @@ advances groups of patterns, sorted by point count, one acceptance each per
 numpy step.  Each pattern still reads its own generator in the order of a
 lone draw, so a pattern does not depend on the block it is drawn in, and the
 single-pattern sampler ``sample_pattern`` is a block of one.
+
+A pattern's point count is the size of its active set, fixed before its first
+point is placed, so ``sample_counts`` returns the counts of ``sample_block``
+on the same streams from the Bernoulli step alone.
 """
 from __future__ import annotations
 
@@ -225,6 +229,22 @@ def _sq_norms(z: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", v, v)
 
 
+def _active_sets(restriction: DiskRestriction, gens: list) -> list[np.ndarray]:
+    """The eigenfunctions each generator's pattern places: m is in the set
+    with probability kappa_m, independently.  This is each generator's first
+    draw, and the set's size is the pattern's point count."""
+    kappa = eigenvalues(restriction)
+    shift = 1 if restriction.palm_shift else 0
+    ms = np.arange(shift, shift + len(kappa))
+    return [ms[gen.random(len(kappa)) < kappa] for gen in gens]
+
+
+def _generator_blocks(streams: list[RngStream]):
+    """The streams' generators, ``_BLOCK`` at a time, so that few are live."""
+    for start in range(0, len(streams), _BLOCK):
+        yield [s.generator() for s in streams[start:start + _BLOCK]]
+
+
 def _sample_projection_points(restriction: DiskRestriction, gens: list
                               ) -> tuple[list[np.ndarray], np.ndarray]:
     """One realization of the determinantal process of ``restriction`` per
@@ -233,10 +253,7 @@ def _sample_projection_points(restriction: DiskRestriction, gens: list
 
     Pattern i depends on ``gens[i]`` alone, and equals what a block of that
     one generator draws."""
-    kappa = eigenvalues(restriction)
-    shift = 1 if restriction.palm_shift else 0
-    ms = np.arange(shift, shift + len(kappa))
-    actives = [ms[gen.random(len(kappa)) < kappa] for gen in gens]
+    actives = _active_sets(restriction, gens)
     points = [np.empty(0, dtype=complex)] * len(gens)
     proposals = np.zeros(len(gens), dtype=np.int64)
     ks = np.array([len(a) for a in actives])
@@ -256,11 +273,17 @@ def sample_block(restriction: DiskRestriction,
     """Exact draws of the determinantal process of ``restriction``, one array
     of complex points per stream, advanced together.  Pattern i depends on
     ``streams[i]`` alone, not on the block it is drawn in."""
-    points = []
-    for start in range(0, len(streams), _BLOCK):  # bounds the live generators
-        points += _sample_projection_points(
-            restriction, [s.generator() for s in streams[start:start + _BLOCK]])[0]
-    return points
+    return [pts for gens in _generator_blocks(streams)
+            for pts in _sample_projection_points(restriction, gens)[0]]
+
+
+def sample_counts(restriction: DiskRestriction,
+                  streams: list[RngStream]) -> np.ndarray:
+    """The point counts of ``sample_block(restriction, streams)``, drawn
+    without placing a point: a pattern's count is the size of its active
+    set, which each stream draws before any proposal."""
+    return np.array([len(act) for gens in _generator_blocks(streams)
+                     for act in _active_sets(restriction, gens)], dtype=int)
 
 
 def sample_pattern(restriction: DiskRestriction, rng: RngStream) -> PointPattern:

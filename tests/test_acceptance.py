@@ -90,3 +90,20 @@ def test_12_end_to_end_validate_quick():
     print(proc.stdout)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert elapsed < 300.0
+
+
+def test_a_raising_check_fails_and_the_suite_goes_on(monkeypatch):
+    # a stall in the one check that places points fails that check alone;
+    # the count checks draw no proposal, so they still pass
+    from ginibrenet import samplers
+    monkeypatch.setattr(samplers, "STALL_CAP", -1)
+    lines = []
+    assert validate.run_suite(quick=True, report=lines.append) is False
+    assert len(lines) == len(validate.ALL_CHECKS) + 1
+    by_name = {line.split()[1]: line for line in lines[:-1]}
+    assert by_name["kostlan"].startswith("[FAIL]")
+    assert "SamplerStallError" in by_name["kostlan"]
+    assert "proposals" in by_name["kostlan"]
+    for name in ("count_law", "palm_identity", "variance_contrast"):
+        assert by_name[name].startswith("[PASS]"), by_name[name]
+    assert lines[-1].startswith("FAILURES present")

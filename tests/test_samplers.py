@@ -17,7 +17,8 @@ from ginibrenet import samplers
 from ginibrenet.errors import SamplerStallError
 from ginibrenet.patterns import RngStream
 from ginibrenet.samplers import (KOSTLAN_ORDERS, kostlan_validation,
-                                 sample_block, sample_pattern, sample_poisson)
+                                 sample_block, sample_counts, sample_pattern,
+                                 sample_poisson)
 from ginibrenet.spectral import (DiskRestriction, count_distribution, pair_correlation,
                                  trace_bound)
 from ginibrenet.validate import chisquare_vs_pmf
@@ -113,6 +114,28 @@ class TestBlockDraws:
                 restriction, [stream.generator()])
             assert np.array_equal(pts, alone[0])
             assert n_prop == alone_prop[0]
+
+    @settings(max_examples=8, deadline=None)
+    @given(radius=st.floats(0.5, 4.0), beta=st.floats(0.05, 1.0),
+           palm=st.booleans(),
+           size=st.integers(1, max(2 * samplers._GROUP, samplers._BLOCK) + 9),
+           seed=st.integers(0, 2 ** 32))
+    def test_counts_are_the_block_draws_point_counts(self, radius, beta, palm,
+                                                      size, seed):
+        restriction = DiskRestriction(radius=radius, beta=beta, palm_shift=palm)
+        streams = [RngStream(seed, i) for i in range(size)]
+        counts = sample_counts(restriction, streams)
+        assert counts.dtype.kind == "i"
+        assert counts.tolist() == [len(pts) for pts in sample_block(restriction, streams)]
+
+    def test_counts_place_no_point(self, monkeypatch):
+        restriction = DiskRestriction(radius=3.0, beta=0.5, palm_shift=True)
+        streams = [RngStream(5, i) for i in range(40)]
+        counts = [len(pts) for pts in sample_block(restriction, streams)]
+        monkeypatch.setattr(samplers, "STALL_CAP", -1)  # stall before any proposal
+        with pytest.raises(SamplerStallError):
+            sample_block(restriction, streams)
+        assert sample_counts(restriction, streams).tolist() == counts
 
     @pytest.mark.parametrize("radius, k", [(1.0, 1), (2.0, 4), (5.0, 25)])
     def test_mean_proposals_per_pattern_is_k_harmonic_k(self, radius, k):
