@@ -1,4 +1,4 @@
-"""Random generation of point patterns and the Kostlan radial diagnostic.
+"""Random generation of point patterns and the Kostlan exact-law diagnostic.
 
 The Ginibre sampler follows the spectral recipe for determinantal processes:
 draw a Bernoulli(kappa_m) subset of eigenfunctions, then place that many
@@ -30,11 +30,14 @@ import numpy as np
 from scipy import special
 
 from .errors import SamplerStallError
+from .goodness_of_fit import chisquare_vs_pmf, ks_vs_cdf
 from .patterns import PointPattern, RngStream
-from .spectral import DiskRestriction, eigenvalues
+from .spectral import (DiskRestriction, count_distribution, eigenvalues,
+                       poisson_binomial_pmf)
 
 STALL_CAP = 1_000_000  # proposals per point before giving up with diagnostics
 KOSTLAN_ORDERS = (1, 2)  # the order statistics kostlan_validation tests
+KOSTLAN_BALLS = ((3.0, 2.5), (4.0, 1.5))  # its off-centre balls b(c, rho)
 _BLOCK = 128  # patterns drawn at once by sample_block
 _GROUP = 32  # patterns advanced together, sorted by point count
 _WINDOW = 16  # most proposals one pattern featurizes at a time
@@ -316,52 +319,62 @@ def sample_poisson(window_radius: float, rng: RngStream) -> PointPattern:
 
 @dataclass
 class KostlanReport:
-    """KS statistics and p-values, one per order in ``KOSTLAN_ORDERS``."""
+    """KS statistics and p-values, one per order in ``KOSTLAN_ORDERS``, and
+    the chi-square p-value of the count in each ball of ``KOSTLAN_BALLS``."""
 
     radius: float
     n_reps: int
     ks_statistics: tuple[float, ...]
     p_values: tuple[float, ...]
+    ball_p_values: tuple[float, ...]
+
+
+def _order_cdf(t: np.ndarray, i: int, n_terms: int) -> np.ndarray:
+    """P(N(b(0, sqrt t)) >= i), the CDF at t of the i-th smallest squared
+    modulus of the Ginibre process.  By Kostlan's theorem N is a sum of
+    independent Bernoulli(gammainc(m + 1, t)); the sum runs over m < n_terms."""
+    kappa = special.gammainc(np.arange(1, n_terms + 1)[:, None], t)
+    return 1.0 - poisson_binomial_pmf(kappa, i - 1).sum(axis=0)
 
 
 def kostlan_validation(radius: float, n_reps: int, rng: RngStream) -> KostlanReport:
-    """Two-sample KS check of the i-th smallest squared moduli, i in
-    ``KOSTLAN_ORDERS``, against the Gamma(i, 1) radial decomposition of the
-    Ginibre process.
+    """Exact-law checks of ``n_reps`` Ginibre patterns on b(0, radius).
 
-    A direct simulation of the independent-Gamma model provides the reference
-    sample; the disk restriction must be wide enough that boundary truncation
-    cannot influence the tested order statistics.
+    * One-sample KS of the i-th smallest squared modulus, i in
+      ``KOSTLAN_ORDERS``, against its exact law (``_order_cdf``).  The
+      terms m run over ``eigenvalues(DiskRestriction(radius))``: for t up to
+      radius^2 each dropped term is below that cut.
+    * Chi-square of the count in each ball b(c, rho) of ``KOSTLAN_BALLS``
+      against ``count_distribution(DiskRestriction(rho))``.  The Ginibre process is
+      stationary, so an off-centre ball inside the disk has the count law of
+      a centred one; unlike the moduli, these counts see the angles.
     """
-    from scipy import stats
-
     if n_reps <= 0:
         raise ValueError("n_reps must be positive")
-    rsq = radius * radius
+    reach = max(abs(centre) + rho for centre, rho in KOSTLAN_BALLS)
+    if radius < reach:
+        raise ValueError(f"radius {radius} is below {reach}: the balls of "
+                         f"KOSTLAN_BALLS must lie inside b(0, radius)")
+    restriction = DiskRestriction(radius=radius)
     k = max(KOSTLAN_ORDERS)
-    if rsq < k + 6.0 * math.sqrt(k):
-        raise ValueError(
-            f"radius {radius} too small for order statistic {k}: "
-            f"need radius^2 >= i + 6 sqrt(i)")
-    ginibre_stats = np.empty((n_reps, k))
-    patterns = sample_block(DiskRestriction(radius=radius),
+    patterns = sample_block(restriction,
                             [rng.substream(rep) for rep in range(n_reps)])
+    # a pattern with fewer than k points (vanishing probability at these
+    # radii) reads radius^2 for its missing moduli
+    smallest = np.full((k, n_reps), radius * radius)
     for rep, pts in enumerate(patterns):
-        sq = np.sort(np.abs(pts) ** 2)
-        if len(sq) < k:  # vanishing-probability corner at these radii
-            sq = np.concatenate([sq, np.full(k - len(sq), rsq)])
-        ginibre_stats[rep] = sq[:k]
-
-    gen = rng.substream(n_reps + 1).generator()
-    n_gammas = int(rsq + 6.0 * math.sqrt(rsq)) + 8
-    shapes = np.arange(1, n_gammas + 1)
-    draws = gen.gamma(shape=shapes, size=(n_reps, n_gammas))
-    kostlan_stats = np.sort(draws, axis=1)[:, :k]
-
-    stats_out, pvals = [], []
-    for i in KOSTLAN_ORDERS:
-        res = stats.ks_2samp(ginibre_stats[:, i - 1], kostlan_stats[:, i - 1])
-        stats_out.append(float(res.statistic))
-        pvals.append(float(res.pvalue))
+        sq = np.sort(np.abs(pts) ** 2)[:k]
+        smallest[:len(sq), rep] = sq
+    n_terms = len(eigenvalues(restriction))
+    ks = [ks_vs_cdf(_order_cdf(smallest[i - 1], i, n_terms))
+          for i in KOSTLAN_ORDERS]
+    ball_p = []
+    for centre, rho in KOSTLAN_BALLS:
+        counts = np.array([np.count_nonzero(np.abs(pts - centre) <= rho)
+                           for pts in patterns])
+        pmf = count_distribution(DiskRestriction(radius=rho), int(counts.max()) + 10)
+        ball_p.append(chisquare_vs_pmf(counts, pmf))
     return KostlanReport(radius=radius, n_reps=n_reps,
-                        ks_statistics=tuple(stats_out), p_values=tuple(pvals))
+                         ks_statistics=tuple(d for d, _ in ks),
+                         p_values=tuple(p for _, p in ks),
+                         ball_p_values=tuple(ball_p))

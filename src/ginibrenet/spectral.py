@@ -100,21 +100,35 @@ def trace_bound(restriction: DiskRestriction, tol: float = DEFAULT_TOL) -> float
     return float(np.sum(eigenvalues(restriction, tol)))
 
 
+def poisson_binomial_pmf(probs: np.ndarray, max_n: int) -> np.ndarray:
+    """P(N = k), k = 0..max_n, for N a sum of independent Bernoulli(probs[j])
+    over the first axis of ``probs``; any further axes are a batch of such
+    sums, and the result has shape (max_n + 1, *probs.shape[1:]).
+
+    The linear recursion adds the terms one at a time and keeps only the
+    cells up to max_n: O(max_n) memory and O(n min(n, max_n)) time for n
+    terms.  Tails below float underflow read 0.
+    """
+    pmf = np.zeros((max_n + 1,) + probs.shape[1:])
+    pmf[0] = 1.0
+    for j, p in enumerate(probs):
+        top = min(j + 1, max_n)  # the count after j + 1 terms is at most j + 1
+        pmf[1:top + 1] = pmf[1:top + 1] * (1.0 - p) + pmf[:top] * p
+        pmf[0] *= 1.0 - p
+    return pmf
+
+
 def count_distribution(restriction: DiskRestriction, max_n: int,
                        tol: float = DEFAULT_TOL) -> np.ndarray:
     """P(N = k), k = 0..max_n, the exact Poisson-binomial law of the count.
 
     The count of a determinantal process in a window is a sum of independent
-    Bernoulli(kappa_m) variables over the window's eigenvalues.
+    Bernoulli(kappa_m) variables over the window's eigenvalues.  Deep tails
+    underflow to 0 here; ``log_count_tail`` computes them.
     """
-    from scipy import stats
-
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
-    vals = eigenvalues(restriction, tol)
-    if len(vals) == 0:  # poisson_binom needs one p; a Bernoulli(0) adds nothing
-        vals = np.zeros(1)
-    return stats.poisson_binom(vals).pmf(np.arange(max_n + 1))
+    return poisson_binomial_pmf(eigenvalues(restriction, tol), max_n)
 
 
 def log_count_tail(restriction: DiskRestriction, m: int) -> float:

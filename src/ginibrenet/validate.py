@@ -16,11 +16,13 @@ from .errors import CapExceededError, MgfDivergenceError
 from .estimation import (dominating_event_probe, estimate_interference_tail,
                          speed_regression, subexp_sum_ratio)
 from .fading import FadingSpec
+from .goodness_of_fit import chisquare_vs_pmf, two_sample_count_chisquare
 from .interference import DiskWindow, NetworkModel
 from .patterns import RngStream
 from .rates import (LdpRegime, poisson_comparison, rate, speed,
                     weibull_rate_constant)
-from .samplers import KOSTLAN_ORDERS, kostlan_validation, sample_counts
+from .samplers import (KOSTLAN_BALLS, KOSTLAN_ORDERS, kostlan_validation,
+                       sample_counts)
 from .spectral import (DiskRestriction, count_distribution, eigenvalues,
                        log_count_tail, log_disk_eigenvalue,
                        minimized_chernoff_bound, trace_bound)
@@ -39,57 +41,6 @@ class CheckResult:
 def _result(name: str, passed: bool, detail: str, t0: float) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail,
                        seconds=time.perf_counter() - t0)
-
-
-# -- chi-square helpers -----------------------------------------------------
-
-def _pool_bins(observed: np.ndarray, expected: np.ndarray, min_expected=5.0):
-    """Merge adjacent bins until every expected cell mass reaches the floor."""
-    obs_out, exp_out = [], []
-    o_acc = e_acc = 0.0
-    for o, e in zip(observed, expected):
-        o_acc += o
-        e_acc += e
-        if e_acc >= min_expected:
-            obs_out.append(o_acc)
-            exp_out.append(e_acc)
-            o_acc = e_acc = 0.0
-    if e_acc > 0 and obs_out:
-        obs_out[-1] += o_acc
-        exp_out[-1] += e_acc
-    return np.array(obs_out), np.array(exp_out)
-
-
-def chisquare_vs_pmf(counts: np.ndarray, pmf: np.ndarray) -> float:
-    """p-value of the one-sample chi-square of integer counts against an exact
-    pmf over {0, 1, ...}; the pmf tail beyond its length is lumped in."""
-    from scipy import stats
-
-    top = max(int(counts.max()), len(pmf) - 1)
-    observed = np.bincount(counts, minlength=top + 1).astype(float)
-    expected = np.zeros(top + 1)
-    expected[:len(pmf)] = pmf
-    expected[-1] += max(0.0, 1.0 - pmf.sum())
-    expected *= len(counts)
-    obs, exp = _pool_bins(observed, expected)
-    exp *= obs.sum() / exp.sum()
-    statistic = float(np.sum((obs - exp) ** 2 / exp))
-    return float(stats.chi2.sf(statistic, df=len(obs) - 1))
-
-
-def two_sample_count_chisquare(a: np.ndarray, b: np.ndarray) -> float:
-    """p-value of the contingency chi-square between two integer samples."""
-    from scipy import stats
-
-    top = int(max(a.max(), b.max()))
-    ha = np.bincount(a, minlength=top + 1).astype(float)
-    hb = np.bincount(b, minlength=top + 1).astype(float)
-    # pool on the combined count, so every column holds at least 10
-    pooled_a, pooled = _pool_bins(ha, ha + hb, 10.0)
-    table = np.array([pooled_a, pooled - pooled_a])
-    if table.shape[1] < 2:
-        return 1.0
-    return float(stats.chi2_contingency(table)[1])
 
 
 # -- individual checks ------------------------------------------------------
@@ -165,14 +116,20 @@ def check_palm_identity(quick: bool = False) -> CheckResult:
 
 
 def check_kostlan(quick: bool = False) -> CheckResult:
-    """KS agreement of the two smallest squared moduli with the Gamma(i, 1) law."""
+    """KS agreement of the two smallest squared moduli with their exact
+    Kostlan law, and chi-square agreement of the counts in two off-centre
+    balls with the exact count law of a centred ball of the same radius.
+
+    The moduli are rotation invariant; the ball counts read the angles."""
     t0 = time.perf_counter()
     n_reps = 1000 if quick else 5000
     report = kostlan_validation(6.0, n_reps, RngStream(MASTER_SEED, 300))
-    ok = all(p > 0.01 for p in report.p_values)
-    detail = ", ".join(f"order {i}: p={p:.4f}"
+    ok = all(p > 0.01 for p in report.p_values + report.ball_p_values)
+    orders = ", ".join(f"order {i}: p={p:.4f}"
                        for i, p in zip(KOSTLAN_ORDERS, report.p_values))
-    return _result("kostlan", ok, detail, t0)
+    balls = ", ".join(f"ball b({c:g}, {rho:g}): p={p:.4f}"
+                      for (c, rho), p in zip(KOSTLAN_BALLS, report.ball_p_values))
+    return _result("kostlan", ok, f"{orders}; {balls}", t0)
 
 
 def check_variance_contrast(quick: bool = False) -> CheckResult:

@@ -313,8 +313,9 @@ class TestConsoleScript:
         assert "sample" in proc.stdout and "validate" in proc.stdout
 
     def test_commands_do_not_load_scipy_stats(self, tmp_path):
-        # scipy.stats costs about a second to import; only the law tests and
-        # the Poisson-binomial pmf use it, so it loads on their first call
+        # scipy.stats nearly doubles a process's memory and costs about a
+        # second to import; every law the package tests against needs only
+        # scipy.special, so no command and no check loads it
         cfg = tmp_path / "exp.ini"
         cfg.write_text(GOOD_CONFIG.replace("estimator = tilted", "estimator = crude")
                        .replace("n_reps = 200", "n_reps = 50")
@@ -322,6 +323,7 @@ class TestConsoleScript:
         script = f"""
 import sys
 import ginibrenet
+from ginibrenet import validate
 from ginibrenet.cli import main
 assert main(["sample", "--process", "palm", "--radius", "2", "--seed", "1",
              "--out", {str(tmp_path / "pts.csv")!r}]) == 0
@@ -330,9 +332,12 @@ assert main(["estimate", "--config", {str(cfg)!r}]) == 0
 print("after commands:", "scipy.stats" in sys.modules)
 ginibrenet.count_distribution(ginibrenet.DiskRestriction(radius=1.0), 5)
 print("after count_distribution:", "scipy.stats" in sys.modules)
+validate.run_suite(quick=True, report=lambda line: None)
+print("after the quick suite:", "scipy.stats" in sys.modules)
 """
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "after commands: False" in proc.stdout
-        assert "after count_distribution: True" in proc.stdout
+        assert "after count_distribution: False" in proc.stdout
+        assert "after the quick suite: False" in proc.stdout

@@ -17,7 +17,7 @@ from ginibrenet.fading import FadingSpec
 from ginibrenet.interference import DiskWindow, NetworkModel, attenuation
 from ginibrenet.patterns import RngStream
 from ginibrenet.spectral import DiskRestriction, count_distribution
-from ginibrenet.validate import chisquare_vs_pmf, two_sample_count_chisquare
+from ginibrenet.goodness_of_fit import chisquare_vs_pmf, two_sample_count_chisquare
 
 # the radial draw costs ~1/50 of a DPP draw, so it gets ten times the reps
 RADIAL_REPS = 40_000

@@ -11,17 +11,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
-from ginibrenet import samplers
+from ginibrenet import samplers, validate
 from ginibrenet.errors import SamplerStallError
+from ginibrenet.goodness_of_fit import chisquare_vs_pmf
 from ginibrenet.patterns import RngStream
-from ginibrenet.samplers import (KOSTLAN_ORDERS, kostlan_validation,
-                                 sample_block, sample_counts, sample_pattern,
-                                 sample_poisson)
-from ginibrenet.spectral import (DiskRestriction, count_distribution, pair_correlation,
-                                 trace_bound)
-from ginibrenet.validate import chisquare_vs_pmf
+from ginibrenet.samplers import (KOSTLAN_BALLS, KOSTLAN_ORDERS,
+                                 kostlan_validation, sample_block,
+                                 sample_counts, sample_pattern, sample_poisson)
+from ginibrenet.spectral import (DiskRestriction, count_distribution, eigenvalues,
+                                 pair_correlation, trace_bound)
 
 
 class TestDeterminism:
@@ -318,15 +318,62 @@ class TestSubBallCountLaw:
             DiskRestriction(radius=radius / 2, beta=beta, palm_shift=palm), 30)
         assert chisquare_vs_pmf(counts, pmf) > 0.01
 
+    def test_off_centre_ball_matches_centred_law(self):
+        # the beta-Ginibre process is stationary, so the count in a ball
+        # inside the disk has the law of a centred ball of the same radius;
+        # unlike a centred count it reads the angles of the points.  Seed 75
+        # gave p = 0.005; over seeds 75-94 the p-values spread evenly and the
+        # pooled 40 000 counts give p = 0.52, with the exact mean and variance
+        beta, radius, centre, rho = 0.5, 4.0, 2.0, 1.5
+        patterns = sample_block(DiskRestriction(radius=radius, beta=beta),
+                                [RngStream(76, i) for i in range(2000)])
+        counts = np.array([np.sum(np.abs(pts - centre) <= rho) for pts in patterns])
+        pmf = count_distribution(DiskRestriction(radius=rho, beta=beta), 30)
+        assert chisquare_vs_pmf(counts, pmf) > 0.01
+
 
 class TestKostlan:
-    def test_precondition_on_radius(self):
-        with pytest.raises(ValueError, match="too small"):
-            kostlan_validation(1.0, 10, RngStream(0))
+    def test_order_cdf_matches_count_law(self):
+        # F_i(t) = P(N(b(0, sqrt t)) >= i) for t in (0, r^2], and that count
+        # law is the exact Poisson-binomial pmf of the disk of radius sqrt t
+        for radius in (4.0, 6.0):
+            n_terms = len(eigenvalues(DiskRestriction(radius=radius)))
+            ts = np.array([1e-3, 0.1, 0.5, 1.0, 2.5, 5.0, 10.0, radius ** 2])
+            cdf1, cdf2 = (samplers._order_cdf(ts, i, n_terms) for i in (1, 2))
+            for t, f1, f2 in zip(ts, cdf1, cdf2):
+                pmf = count_distribution(DiskRestriction(radius=math.sqrt(t)), 1)
+                assert f1 == pytest.approx(1.0 - pmf[0], abs=1e-11)
+                assert f2 == pytest.approx(1.0 - pmf[0] - pmf[1], abs=1e-11)
+            # i = 1 in closed form: P(N = 0) = prod_m gammaincc(m + 1, t)
+            prod = np.prod(special.gammaincc(np.arange(1, 200)[:, None], ts), axis=0)
+            assert np.allclose(cdf1, 1.0 - prod, rtol=0, atol=1e-11)
+
+    def test_balls_must_lie_inside_the_disk(self):
+        with pytest.raises(ValueError, match="inside"):
+            kostlan_validation(5.0, 10, RngStream(0))  # b(3, 2.5) leaves b(0, 5)
 
     def test_report_shape(self):
-        # one KS statistic and p-value per tested order, (1, 2)
+        # one KS statistic and p-value per tested order, (1, 2), and one
+        # p-value per ball
         assert KOSTLAN_ORDERS == (1, 2)
-        rep = kostlan_validation(4.0, 200, RngStream(50))
+        rep = kostlan_validation(6.0, 200, RngStream(50))
         assert len(rep.ks_statistics) == len(rep.p_values) == 2
-        assert all(0.0 <= p <= 1.0 for p in rep.p_values)
+        assert len(rep.ball_p_values) == len(KOSTLAN_BALLS)
+        assert all(0.0 <= p <= 1.0 for p in rep.p_values + rep.ball_p_values)
+
+    def test_angle_mutant_fails_check_kostlan(self, monkeypatch):
+        # the right moduli with independent uniform angles pass every
+        # rotation-invariant statistic; the off-centre balls catch them
+        draw = samplers.sample_block
+        gen = np.random.default_rng(7)
+
+        def spun(restriction, streams):
+            return [np.abs(pts) * np.exp(2j * np.pi * gen.random(len(pts)))
+                    for pts in draw(restriction, streams)]
+
+        monkeypatch.setattr(samplers, "sample_block", spun)
+        res = validate.check_kostlan(quick=True)
+        assert not res.passed
+        assert KOSTLAN_BALLS == ((3.0, 2.5), (4.0, 1.5))
+        assert "ball b(3, 2.5): p=0.0000" in res.detail
+        assert "ball b(4, 1.5): p=0.0000" in res.detail

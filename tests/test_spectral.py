@@ -1,5 +1,6 @@
 """Exact spectral computations: frozen oracles and structural properties."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,30 @@ class TestCountDistribution:
         pmf = count_distribution(DiskRestriction(radius=1e-3, palm_shift=True), 2)
         assert pmf.tolist() == [1.0, 0.0, 0.0]
 
+    @settings(max_examples=60, deadline=None)
+    @given(radius=st.floats(0.05, 12.0), beta=st.floats(0.05, 1.0, exclude_min=True),
+           palm=st.booleans(), max_n=st.integers(0, 300))
+    def test_matches_scipy_poisson_binom(self, radius, beta, palm, max_n):
+        restriction = DiskRestriction(radius=radius, beta=beta, palm_shift=palm)
+        vals = eigenvalues(restriction)
+        ref = stats.poisson_binom(vals if len(vals) else [0.0]).pmf(np.arange(max_n + 1))
+        assert np.allclose(count_distribution(restriction, max_n), ref,
+                           rtol=1e-12, atol=1e-15)
+
+    def test_linear_memory_in_the_spectrum(self):
+        # 5079 eigenvalues and 40 001 cells: the pmf and a few row
+        # temporaries, not an eigenvalues x cells matrix (200 MB)
+        restriction = DiskRestriction(radius=12.0, beta=0.05, palm_shift=True)
+        assert len(eigenvalues(restriction, tol=1e-300)) > 5000
+        tracemalloc.start()
+        try:
+            pmf = count_distribution(restriction, 40_000, tol=1e-300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+        assert peak < 10e6
+
     def test_log_tail_matches_linear_dp(self):
         restriction = DiskRestriction(radius=1.5, beta=0.7)
         pmf = count_distribution(restriction, 40)
@@ -141,9 +166,10 @@ class TestCountDistribution:
         restriction = DiskRestriction(radius=radius, beta=beta, palm_shift=palm)
         # m from 1 to ten standard deviations past the mean count
         m = 1 + int(depth * (radius ** 2 + 10.0 * radius + 10.0))
-        # reference: scipy's Poisson-binomial pmf, a kernel independent of the
-        # log-space recursion, on a spectrum cut far below the default
-        # tolerance, so that it holds every eigenvalue a deep tail is made of
+        # reference: the linear-space Poisson-binomial pmf, a kernel
+        # independent of the log-space recursion, on a spectrum cut far below
+        # the default tolerance, so that it holds every eigenvalue a deep tail
+        # is made of
         pmf = count_distribution(restriction, 40_000, tol=1e-300)
         linear = float(pmf[m:].sum())
         if linear > 1e-250:
