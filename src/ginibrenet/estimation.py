@@ -139,11 +139,11 @@ def _dpp_draw(model: NetworkModel):
         palm_shift=True)
 
     def draw(gen: np.random.Generator, n: int) -> np.ndarray:
-        # one fresh RngStream per pattern, on a 63-bit child seed drawn from
+        # one fresh RngStream per block, on a 63-bit child seed drawn from
         # the running stream
-        children = [RngStream(int(gen.integers(1 << 63)), 0) for _ in range(n)]
+        child = RngStream(int(gen.integers(1 << 63)), 0)
         rows = [np.abs(model.receiver - pts[model.window.contains(pts)])
-                for pts in sample_block(restriction, children)]
+                for pts in sample_block(restriction, child, n)]
         dist = np.full((n, max(map(len, rows))), np.inf)
         for out, row in zip(dist, rows):
             out[:len(row)] = row
@@ -178,19 +178,24 @@ def _pattern_tilt(fading: FadingSpec, gains: np.ndarray, x: float) -> np.ndarray
     """
     if fading.kind == "exponential":
         c = fading.c
+        # q_j = L_j / (c - theta L_j) increases with L_j below theta = c / max L,
+        # so gains sorted once give q sorted, as _row_sum would sort it
+        gains = np.sort(gains, axis=1)
 
         def gap(theta, g):
-            # q_j = L_j tilted_mean(theta L_j); q_j^2 = L_j^2 tilted_var(theta L_j).
-            # Both sums run over q sorted once, as _row_sum would sort them
+            # q_j = L_j tilted_mean(theta L_j); q_j^2 = L_j^2 tilted_var(theta L_j)
             with np.errstate(divide="ignore"):
-                q = np.sort(g / (c - theta[:, None] * g), axis=1)
+                q = g / (c - theta[:, None] * g)
             total, total_sq = q.cumsum(axis=1)[:, -1], (q * q).cumsum(axis=1)[:, -1]
             return 1.0 - x / total, x * total_sq / (total * total)
     else:
         def gap(theta, g):
             on = g > 0
             mean, var = np.zeros_like(g), np.zeros_like(g)
-            mean[on], var[on] = fading.tilted_moments((theta[:, None] * g)[on])
+            # tilts whose moments pass the float range give nan, which
+            # _newton reads as past the root
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean[on], var[on] = fading.tilted_moments((theta[:, None] * g)[on])
             return _row_sum(mean * g) / x - 1.0, _row_sum(var * g * g) / x
 
     theta = np.zeros(len(gains))
@@ -223,13 +228,17 @@ def _newton(gap, g, t, hi, log_steps: bool, context: dict) -> np.ndarray:
     guards keep the steps in it.  Until a row is bracketed, a Newton point
     past 1.5 theta (or a nan one) is replaced by 2 theta: where the gap is
     concave, Newton falls short of the root, and the doubling brackets it.  A
-    row still below its root after TILT_DOUBLINGS such steps raises.  Once
-    bracketed, a Newton point outside the bracket (or a nan one) gives way to
-    the midpoint.  A row stops once its gap, relative to the level, is within
-    _ROOT_GAP_TOL of 0, where its sign is rounding noise; once its step is
-    below _ROOT_RTOL of theta, and then takes the stepped point; or once its
-    bracket is _ROOT_RTOL wide relative to its top.  Rows drop out as they
-    converge.
+    row still below its root after TILT_DOUBLINGS such steps raises.  A
+    non-finite gap, where the transforms leave the float range, lies past the
+    root and tops the bracket.  Once bracketed, a Newton point outside the
+    bracket (or a nan one) gives way to the midpoint: in log theta for a
+    ratio gap, with 1 / max L for the bottom while no tilt below the root is
+    known, so a top far past the root comes down in a few steps.  A row
+    stops once its gap, relative to the level, is within _ROOT_GAP_TOL of 0,
+    where its sign is rounding noise; once its step is below _ROOT_RTOL of
+    theta, and then takes the stepped point; or once its bracket is
+    _ROOT_RTOL wide relative to its top.  A row that stops where its gap is
+    not finite raises.  Rows drop out as they converge.
     """
     root = np.empty(len(t))
     act = np.arange(len(t))
@@ -244,12 +253,17 @@ def _newton(gap, g, t, hi, log_steps: bool, context: dict) -> np.ndarray:
             else:
                 step = t - f_t / slope
         inside, unbracketed = (step > lo) & (step < hi), np.isinf(hi)
+        if log_steps:
+            bottom = np.where(lo > 0.0, lo, np.minimum(1.0 / g[act].max(axis=1), 0.5 * hi))
+            mid = np.sqrt(bottom * hi)
+        else:
+            mid = 0.5 * (lo + hi)
         step = np.where(unbracketed, np.where(inside & (step <= 1.5 * t), step, 2.0 * t),
-                        np.where(inside, step, 0.5 * (lo + hi)))
+                        np.where(inside, step, mid))
         settled = np.abs(f_t) <= _ROOT_GAP_TOL
         done = (settled | (np.abs(step - t) <= _ROOT_RTOL * t)
                 | (~unbracketed & (hi - lo <= _ROOT_RTOL * hi)))
-        failed = ~np.isfinite(f_t) | (unbracketed & ~done & (k == TILT_DOUBLINGS))
+        failed = (~np.isfinite(f_t) & done) | (unbracketed & ~done & (k == TILT_DOUBLINGS))
         if failed.any():
             i = int(np.argmax(failed))
             row = g[act[i]]

@@ -233,40 +233,43 @@ class FadingSpec:
         at the mode, j the first at which the integrand has fallen by
         e^_QUAD_DROP.  Exponents are taken relative to the mode (expm1), so
         tilts where e^(theta z) overflows lose no precision, and all moments
-        share the nodes.  With t = s - s_m, the tilted mean is z_m (1 + m),
-        m the weighted average of e^t - 1, and the variance the weighted
-        average of z_m^2 (e^t - 1 - m)^2, so a narrow law loses no digits to
-        cancellation.
+        share the nodes.  With t = s - s_m and y = e^t - 1, the mode equation
+        theta z_m = c g z_m^g - g turns the exponent relative to the mode into
+        g (log1p(y) - y) - c z_m^g ((1 + y)^g - 1 - g y) (``_weibull_log_rel``)
+        and the exponent at the mode into (g - 1) c z_m^g - g, neither of
+        which cancels terms of order theta z_m.  The tilted mean is
+        z_m (1 + m), m the weighted average of y, and the variance the
+        weighted average of z_m^2 (y - m)^2, so a narrow law loses no digits
+        to cancellation.
         """
         c, g = self.c, self.gamma
         log_mgf, mean, var = (np.empty(len(theta)) for _ in range(3))
         for lo in range(0, len(theta), _QUAD_CHUNK):
             th = theta[lo:lo + _QUAD_CHUNK]
             z = self._weibull_mode(th)
-            tz, czg = th * z, c * z ** g
-
-            def rel(t, e1):  # exponent at s_m + t minus that at s_m, k = 0; e1 = e^t - 1
-                return g * t + tz[:, None] * e1 - czg[:, None] * np.expm1(g * t)
-
-            scale = 1.0 / np.sqrt((g - 1.0) * tz + g * g)
-            spans = []
+            czg = (c * z ** g)[:, None]
+            scale = 1.0 / np.sqrt((g - 1.0) * th * z + g * g)
+            reach = []  # each side's span in units of scale
             for side in (-1.0, 1.0):
-                with np.errstate(over="ignore", invalid="ignore"):
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     # rungs far past the first deep one can overflow to nan
                     rung = side * scale[:, None] * _QUAD_LADDER
-                    deep = ~(rel(rung, np.expm1(rung)) > -_QUAD_DROP)
-                spans.append(scale * _QUAD_LADDER[np.argmax(deep, axis=1)])
-            span = np.where(_QUAD_NODES < 0, spans[0][:, None], spans[1][:, None])
-            t = span * _QUAD_NODES
-            e1 = np.expm1(t)
-            w = span * _QUAD_WEIGHTS * np.exp(rel(t, e1))
+                    deep = ~(_weibull_log_rel(np.expm1(rung), g, czg, g) > -_QUAD_DROP)
+                reach.append(_QUAD_LADDER[np.argmax(deep, axis=1)])
+            reach = np.where(_QUAD_NODES < 0, reach[0][:, None], reach[1][:, None])
+            y = np.expm1(scale[:, None] * reach * _QUAD_NODES)
+            # the weights and deviations are taken in units of scale, which
+            # can be 1e-150, so that their products do not underflow
+            with np.errstate(divide="ignore"):  # nodes at y = -1 weigh 0
+                w = reach * _QUAD_WEIGHTS * np.exp(_weibull_log_rel(y, g, czg, g))
             total = w.sum(axis=1)
-            shift = (w * e1).sum(axis=1) / total  # mean / z_m - 1
-            dev = e1 - shift[:, None]
+            shift = (w * y).sum(axis=1) / total  # mean / z_m - 1
+            dev = (y - shift[:, None]) / scale[:, None]
             sl = slice(lo, lo + _QUAD_CHUNK)
-            log_mgf[sl] = math.log(c * g) + g * np.log(z) + tz - czg + np.log(total)
+            log_mgf[sl] = (math.log(c * g) + g * np.log(z) + (g - 1.0) * czg[:, 0] - g
+                           + np.log(scale * total))
             mean[sl] = z * (1.0 + shift)
-            var[sl] = z * z * (w * dev * dev).sum(axis=1) / total
+            var[sl] = (z * scale) ** 2 * (w * dev * dev).sum(axis=1) / total
         return log_mgf, mean, var
 
     def _weibull_mode(self, theta: np.ndarray, k: float = 0.0) -> np.ndarray:
@@ -369,7 +372,7 @@ class FadingSpec:
         big_a = c * zm ** g
 
         def log_rel(y, a):  # h(y), with A = a
-            return (g - 1.0) * (np.log1p(y) - y) - a * _pow1p_excess(y, g)
+            return _weibull_log_rel(y, g - 1.0, a, g)
 
         def slope(y, a):  # h'(y)
             return -(g - 1.0) * y / (1.0 + y) - a * g * np.expm1((g - 1.0) * np.log1p(y))
@@ -426,11 +429,21 @@ def _rejection_loop(propose, theta: np.ndarray, gen: np.random.Generator,
                      "theta_pending_max": float(theta[pending].max())})
 
 
+def _weibull_log_rel(y: np.ndarray, k: float, a, g: float) -> np.ndarray:
+    """k (log1p(y) - y) - a ((1 + y)^g - 1 - g y): the log of a
+    ``weibull_super`` integrand z^k exp(theta z - c z^g) relative to its mode
+    z_m, at z = z_m (1 + y), with a = c z_m^g.  k = g is the integrand in
+    log z of ``_weibull_tilt``, k = g - 1 the tilted density of
+    ``_weibull_tilted``."""
+    return k * (np.log1p(y) - y) - a * _pow1p_excess(y, g)
+
+
 def _pow1p_excess(y: np.ndarray, g: float) -> np.ndarray:
     """(1 + y)^g - 1 - g y without cancellation: its binomial series where
-    |y| < _SERIES_Y, so the error is a few ulps of the result."""
+    |y| < _SERIES_Y, so the error is a few ulps of the result.  At y = -1
+    the value g - 1 is exact."""
     y = np.asarray(y, dtype=float)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore"):
         out = np.expm1(g * np.log1p(y)) - g * y
     near = np.abs(y) < _SERIES_Y
     yn = y[near]

@@ -26,6 +26,14 @@ class RngStream:
             np.random.SeedSequence(entropy=self.master_seed,
                                    spawn_key=(self.stream_id,))))
 
+    def child_generator(self, index: int) -> np.random.Generator:
+        """The generator of child ``index``: spawn key (stream_id, index),
+        the key ``SeedSequence.spawn`` gives the stream's own seed sequence,
+        so no child shares a seed sequence with any stream."""
+        return np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy=self.master_seed,
+                                   spawn_key=(self.stream_id, index))))
+
     def substream(self, offset: int) -> "RngStream":
         return RngStream(self.master_seed, self.stream_id + offset)
 

@@ -11,15 +11,19 @@ Thinning acts on the spectrum: a beta < 1 draw takes its eigenfunctions from
 the beta-thinned spectrum (see ``spectral``) and shrinks the points by
 sqrt(beta), so no point is placed and then discarded.
 
-Draws come in blocks: ``sample_block`` takes one stream per pattern and
-advances groups of patterns, sorted by point count, one acceptance each per
-numpy step.  Each pattern still reads its own generator in the order of a
-lone draw, so a pattern does not depend on the block it is drawn in, and the
-single-pattern sampler ``sample_pattern`` is a block of one.
+Draws come in blocks: ``sample_block(restriction, rng, n)`` draws n patterns
+from one stream.  The n active sets are rows of uniforms from
+``rng.generator()``, and pattern i places its points from its own child
+generator (``RngStream.child_generator(i)``), built only if it has points.
+Groups of patterns, sorted by point count, advance one acceptance each per
+numpy step, each pattern reading its child generator in the order of a lone
+draw.  So pattern i depends on ``(rng, i)`` alone, not on n or on how the
+block is cut, and the single-pattern sampler ``sample_pattern`` is a block of
+one.
 
 A pattern's point count is the size of its active set, fixed before its first
-point is placed, so ``sample_counts`` returns the counts of ``sample_block``
-on the same streams from the Bernoulli step alone.
+point is placed, so ``sample_counts(restriction, rng, n)`` returns the counts
+of ``sample_block(restriction, rng, n)`` from the Bernoulli step alone.
 """
 from __future__ import annotations
 
@@ -38,7 +42,7 @@ from .spectral import (DiskRestriction, count_distribution, eigenvalues,
 STALL_CAP = 1_000_000  # proposals per point before giving up with diagnostics
 KOSTLAN_ORDERS = (1, 2)  # the order statistics kostlan_validation tests
 KOSTLAN_BALLS = ((3.0, 2.5), (4.0, 1.5))  # its off-centre balls b(c, rho)
-_BLOCK = 128  # patterns drawn at once by sample_block
+_BLOCK = 128  # patterns whose active sets and generators are live at once
 _GROUP = 32  # patterns advanced together, sorted by point count
 _WINDOW = 16  # most proposals one pattern featurizes at a time
 _AHEAD = 3  # window size in expected proposals per acceptance
@@ -47,7 +51,9 @@ _TINY = 2.2250738585072014e-308  # smallest normal float
 
 class _Group:
     """Up to ``_GROUP`` patterns of one block, advanced one acceptance each
-    per step.
+    per step.  ``members`` are their indices in the block, ``gens`` maps an
+    index to its pattern's generator, and ``actives`` are the patterns'
+    active sets, in the order of ``members``.
 
     Each pattern draws its proposals in chunks of max(64, 4k) from its own
     generator, in the order of a lone draw: indices, radius uniforms, angle
@@ -64,7 +70,7 @@ class _Group:
              "chunk", "cpos", "nchunks", "vec", "margin", "wpos", "bc",
              "placed", "pts", "last")
 
-    def __init__(self, restriction: DiskRestriction, gens: list, actives: list,
+    def __init__(self, restriction: DiskRestriction, gens: dict, actives: list,
                  members: np.ndarray, ks: np.ndarray, points: list,
                  proposals: np.ndarray):
         self.restriction, self.gens = restriction, gens
@@ -74,8 +80,8 @@ class _Group:
         g, k = len(members), int(ks[-1])  # members are sorted by k
         self.csize = np.maximum(64, 4 * self.ks)
         self.act = np.full((g, k), -1.0)  # the active m, -1 in the padding
-        for row, p in enumerate(members):
-            self.act[row, :self.ks[row]] = actives[p]
+        for row, act in enumerate(actives):
+            self.act[row, :len(act)] = act
         # half the log of the squared L2 norm of z^m over the disk w.r.t. the
         # Gaussian reference, m! * P(Po(r^2) >= m+1); in the padding
         # gammaln(0) = +inf zeroes the features
@@ -232,61 +238,60 @@ def _sq_norms(z: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", v, v)
 
 
-def _active_sets(restriction: DiskRestriction, gens: list) -> list[np.ndarray]:
-    """The eigenfunctions each generator's pattern places: m is in the set
-    with probability kappa_m, independently.  This is each generator's first
-    draw, and the set's size is the pattern's point count."""
+def _active_sets(restriction: DiskRestriction, rng: RngStream, n: int):
+    """The eigenfunctions the n patterns of ``rng`` place: m is in pattern
+    i's set with probability kappa_m, independently, decided by row i of an
+    (n, len(kappa)) array of uniforms from ``rng.generator()``.  Yields
+    (first pattern, boolean rows, the m of each column) for ``_BLOCK`` rows
+    at a time, which read the same floats as one draw of the whole array.  A
+    row's size is its pattern's point count."""
     kappa = eigenvalues(restriction)
     shift = 1 if restriction.palm_shift else 0
     ms = np.arange(shift, shift + len(kappa))
-    return [ms[gen.random(len(kappa)) < kappa] for gen in gens]
+    gen = rng.generator()
+    for start in range(0, n, _BLOCK):
+        yield start, gen.random((min(_BLOCK, n - start), len(kappa))) < kappa, ms
 
 
-def _generator_blocks(streams: list[RngStream]):
-    """The streams' generators, ``_BLOCK`` at a time, so that few are live."""
-    for start in range(0, len(streams), _BLOCK):
-        yield [s.generator() for s in streams[start:start + _BLOCK]]
+def _sample_projection_points(restriction: DiskRestriction, rng: RngStream,
+                              n: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """n realizations of the determinantal process of ``restriction``: their
+    eigenfunctions placed on the 1/sqrt(beta)-inflated disk, shrunk by
+    sqrt(beta).  Also returns each pattern's proposal count.
 
-
-def _sample_projection_points(restriction: DiskRestriction, gens: list
-                              ) -> tuple[list[np.ndarray], np.ndarray]:
-    """One realization of the determinantal process of ``restriction`` per
-    generator: its eigenfunctions placed on the 1/sqrt(beta)-inflated disk,
-    shrunk by sqrt(beta).  Also returns each pattern's proposal count.
-
-    Pattern i depends on ``gens[i]`` alone, and equals what a block of that
-    one generator draws."""
-    actives = _active_sets(restriction, gens)
-    points = [np.empty(0, dtype=complex)] * len(gens)
-    proposals = np.zeros(len(gens), dtype=np.int64)
-    ks = np.array([len(a) for a in actives])
-    if not ks.any():
-        return points, proposals
-    order = np.argsort(ks, kind="stable")
-    order = order[ks[order] > 0]
-    for start in range(0, len(order), _GROUP):
-        members = order[start:start + _GROUP]
-        _Group(restriction, gens, actives, members, ks[members], points,
-               proposals).run()
+    Pattern i places its points from ``rng.child_generator(i)``, so it
+    depends on ``(rng, i)`` alone."""
+    points = [np.empty(0, dtype=complex)] * n
+    proposals = np.zeros(n, dtype=np.int64)
+    for start, on, ms in _active_sets(restriction, rng, n):
+        ks = on.sum(axis=1)
+        order = np.argsort(ks, kind="stable")
+        order = order[ks[order] > 0]
+        gens = {start + p: rng.child_generator(start + p) for p in order.tolist()}
+        for first in range(0, len(order), _GROUP):
+            rows = order[first:first + _GROUP]
+            _Group(restriction, gens, [ms[act] for act in on[rows]], start + rows,
+                   ks[rows], points, proposals).run()
     return points, proposals
 
 
-def sample_block(restriction: DiskRestriction,
-                 streams: list[RngStream]) -> list[np.ndarray]:
-    """Exact draws of the determinantal process of ``restriction``, one array
-    of complex points per stream, advanced together.  Pattern i depends on
-    ``streams[i]`` alone, not on the block it is drawn in."""
-    return [pts for gens in _generator_blocks(streams)
-            for pts in _sample_projection_points(restriction, gens)[0]]
+def sample_block(restriction: DiskRestriction, rng: RngStream,
+                 n: int) -> list[np.ndarray]:
+    """n exact draws of the determinantal process of ``restriction``, one
+    array of complex points each, advanced together.  Pattern i depends on
+    ``(rng, i)`` alone, not on n."""
+    return _sample_projection_points(restriction, rng, n)[0]
 
 
-def sample_counts(restriction: DiskRestriction,
-                  streams: list[RngStream]) -> np.ndarray:
-    """The point counts of ``sample_block(restriction, streams)``, drawn
+def sample_counts(restriction: DiskRestriction, rng: RngStream,
+                  n: int) -> np.ndarray:
+    """The point counts of ``sample_block(restriction, rng, n)``, drawn
     without placing a point: a pattern's count is the size of its active
-    set, which each stream draws before any proposal."""
-    return np.array([len(act) for gens in _generator_blocks(streams)
-                     for act in _active_sets(restriction, gens)], dtype=int)
+    set, which the block draws before any proposal."""
+    counts = np.zeros(n, dtype=int)
+    for start, on, _ in _active_sets(restriction, rng, n):
+        counts[start:start + len(on)] = on.sum(axis=1)
+    return counts
 
 
 def sample_pattern(restriction: DiskRestriction, rng: RngStream) -> PointPattern:
@@ -298,7 +303,7 @@ def sample_pattern(restriction: DiskRestriction, rng: RngStream) -> PointPattern
         kind = "palm_beta_ginibre"
     else:
         kind = "ginibre" if restriction.beta == 1.0 else "beta_ginibre"
-    return PointPattern(points=sample_block(restriction, [rng])[0],
+    return PointPattern(points=sample_block(restriction, rng, 1)[0],
                         window_radius=restriction.radius, process_kind=kind,
                         beta=restriction.beta, seed=rng.master_seed)
 
@@ -357,8 +362,7 @@ def kostlan_validation(radius: float, n_reps: int, rng: RngStream) -> KostlanRep
                          f"KOSTLAN_BALLS must lie inside b(0, radius)")
     restriction = DiskRestriction(radius=radius)
     k = max(KOSTLAN_ORDERS)
-    patterns = sample_block(restriction,
-                            [rng.substream(rep) for rep in range(n_reps)])
+    patterns = sample_block(restriction, rng, n_reps)
     # a pattern with fewer than k points (vanishing probability at these
     # radii) reads radius^2 for its missing moduli
     smallest = np.full((k, n_reps), radius * radius)

@@ -27,6 +27,13 @@ from .spectral import (DiskRestriction, count_distribution, eigenvalues,
                        log_count_tail, log_disk_eigenvalue,
                        minimized_chernoff_bound, trace_bound)
 
+# Every check draws on RngStream(MASTER_SEED, id); no two checks share a
+# seed sequence at either budget.  The ids, by check:
+#   count_law 100-103 (a block per case); palm_identity 200-205 (per beta:
+#   Palm block, thinned block, Gaussian points); kostlan 300 (a block, its
+#   patterns on the children (300, i)); variance_contrast 400 (a block);
+#   exponential_slope 1500, 2500, ... (grid point i on 500 + 1000 (i + 1));
+#   subexp_ratio 600; chernoff_dominance 700-702; lower_bound_ordering 800-817.
 MASTER_SEED = 20240901
 
 
@@ -74,8 +81,7 @@ def check_count_law(quick: bool = False) -> CheckResult:
              ("beta", 0.5, 1.0), ("beta", 0.5, 2.0)]
     for ci, (kind, beta, radius) in enumerate(cases):
         restriction = DiskRestriction(radius=radius, beta=beta)
-        counts = sample_counts(restriction, [stream.substream(ci * n_reps + rep)
-                                             for rep in range(n_reps)])
+        counts = sample_counts(restriction, stream.substream(ci), n_reps)
         max_n = int(counts.max()) + 10
         pmf = count_distribution(restriction, max_n)
         p = chisquare_vs_pmf(counts, pmf)
@@ -97,18 +103,15 @@ def check_palm_identity(quick: bool = False) -> CheckResult:
     stream = RngStream(MASTER_SEED, 200)
     details, ok = [], True
     for bi, beta in enumerate((0.25, 1.0)):
-        base = bi * 2 * n_reps
         palm_counts = sample_counts(
             DiskRestriction(radius=radius, beta=beta, palm_shift=True),
-            [stream.substream(base + rep) for rep in range(n_reps)])
-        thin_counts = sample_counts(
-            DiskRestriction(radius=radius, beta=beta),
-            [stream.substream(base + n_reps + rep) for rep in range(n_reps)])
-        gauss_gen = stream.substream(90_000 + bi).generator()
-        for rep in range(n_reps):
-            if gauss_gen.random() < beta:
-                g = complex(*(gauss_gen.normal(scale=math.sqrt(0.5), size=2)))
-                palm_counts[rep] += int(abs(math.sqrt(beta) * g) <= radius)
+            stream.substream(3 * bi), n_reps)
+        thin_counts = sample_counts(DiskRestriction(radius=radius, beta=beta),
+                                    stream.substream(3 * bi + 1), n_reps)
+        gauss_gen = stream.substream(3 * bi + 2).generator()
+        kept = gauss_gen.random(n_reps) < beta
+        g = gauss_gen.normal(scale=math.sqrt(0.5), size=(n_reps, 2))
+        palm_counts += kept & (math.sqrt(beta) * np.hypot(*g.T) <= radius)
         p = two_sample_count_chisquare(palm_counts, thin_counts)
         details.append(f"beta={beta}: p={p:.4f}")
         ok &= p > 0.01
@@ -142,8 +145,7 @@ def check_variance_contrast(quick: bool = False) -> CheckResult:
     n_reps = 2000 if quick else 10_000
     radius = 5.0
     stream = RngStream(MASTER_SEED, 400)
-    counts = sample_counts(DiskRestriction(radius=radius),
-                           [stream.substream(rep) for rep in range(n_reps)])
+    counts = sample_counts(DiskRestriction(radius=radius), stream, n_reps)
     kappa = eigenvalues(DiskRestriction(radius=radius))
     exact_var = float(np.sum(kappa * (1.0 - kappa)))
     emp_var = float(np.var(counts, ddof=1))

@@ -8,7 +8,9 @@ import shutil
 import subprocess
 import sys
 import time
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from ginibrenet import validate
@@ -107,3 +109,40 @@ def test_a_raising_check_fails_and_the_suite_goes_on(monkeypatch):
     for name in ("count_law", "palm_identity", "variance_contrast"):
         assert by_name[name].startswith("[PASS]"), by_name[name]
     assert lines[-1].startswith("FAILURES present")
+
+
+@pytest.fixture(scope="module")
+def seeds_by_check():
+    """The (entropy, spawn key) of every generator each quick check builds,
+    in order, by check name."""
+    real = np.random.PCG64
+    seen, current = {}, []
+
+    def recording(seed_seq):
+        current.append((seed_seq.entropy, tuple(seed_seq.spawn_key)))
+        return real(seed_seq)
+
+    with mock.patch.object(np.random, "PCG64", recording):
+        for check in validate.ALL_CHECKS:
+            current = seen[check.__name__.removeprefix("check_")] = []
+            assert check(quick=True).passed
+    return seen
+
+
+def test_no_two_checks_share_a_stream(seeds_by_check):
+    owners = {}
+    for name, seeds in seeds_by_check.items():
+        for seed in set(seeds):
+            owners.setdefault(seed, []).append(name)
+    shared = {seed: names for seed, names in owners.items() if len(names) > 1}
+    assert not shared
+
+
+def test_count_checks_build_one_generator_per_block(seeds_by_check):
+    # count_law: a block per case (4); palm_identity: per beta, a Palm block,
+    # a thinned block and the Gaussian points (6); variance_contrast: 1
+    sizes = {name: len(seeds_by_check[name])
+             for name in ("count_law", "palm_identity", "variance_contrast")}
+    assert sizes == {"count_law": 4, "palm_identity": 6, "variance_contrast": 1}
+    # kostlan: the block's active sets, then one per pattern with points
+    assert len(seeds_by_check["kostlan"]) <= 1000 + 1

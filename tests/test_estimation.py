@@ -66,8 +66,7 @@ class TestCountTail:
     def test_exact_matches_monte_carlo(self):
         restriction = DiskRestriction(radius=2.0)
         counts = np.array([len(pts) for pts in sample_block(
-            DiskRestriction(radius=2.0, beta=1.0),
-            [RngStream(60, i) for i in range(10_000)])])
+            DiskRestriction(radius=2.0, beta=1.0), RngStream(60), 10_000)])
         for m in (2, 4, 6):
             exact = math.exp(log_count_tail(restriction, m))
             emp = float(np.mean(counts >= m))
@@ -170,6 +169,21 @@ class TestTiltBracket:
         with pytest.raises(CapExceededError, match="bracket") as exc:
             _pattern_tilt(fading, np.array([[1.0, 0.5]]), 1.5)
         assert exc.value.diagnostics["doublings"] == TILT_DOUBLINGS
+
+    def test_weibull_tilted_near_gamma_one_at_tilts_past_100(self):
+        # at gamma = 1.05 the tilted mean is 3.77e39 at theta = 100, so a
+        # plateau gain needs theta >= 100 at x = 1e40; the Newton start from
+        # 0 lands near theta = 1e40, where the transforms leave the floats
+        fading = FadingSpec(kind="weibull_super", c=1.0, gamma=1.05)
+        theta = _pattern_tilt(fading, np.array([[1.0, 0.5, 0.0]]), 1e40)
+        assert theta[0] >= 100.0
+        gains = np.array([1.0, 0.5])
+        assert np.sum(fading.tilted_mean(theta[0] * gains) * gains) == \
+            pytest.approx(1e40, rel=1e-12)
+        # the tail exp(-(1e40)^1.05) underflows, so every weight is 0
+        est = estimate_interference_tail(model(kind="weibull_super", c=1.0, gamma=1.05),
+                                         1e40, 200, "tilted", RngStream(98))
+        assert est.probability == 0.0 and est.diagnostics["zero_hits"] == 1.0
 
     def test_bounded_tilted_at_large_tilts(self):
         # some patterns need theta B past ~710, where the Beta MGF overflowed

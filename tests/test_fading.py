@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 
@@ -62,6 +62,22 @@ WEIBULL_LOG_MOMENTS = {
                  (-0.11218065663618088, -0.10307738668453045, -0.011608194719394043, 0.9471518755498792, 14.843976838789935, 390.40652630134144, 12179.9955356124)),
     (3.0, 2.0): ((0.0007087914862841054, 0.007090901336625669, 0.0712080825212394, 0.7423646008427549, 10.466599773220798, 275.74408531672117, 8611.934907842742),
                  (-0.34343829052957536, -0.3362138136702457, -0.263694142707482, 0.4892108674971687, 10.777468617127179, 277.15262516773305, 8614.492963839744)),
+}
+
+# log E[e^(theta Z)], tilted mean and tilted variance of weibull_super marks
+# with c = 1 near gamma = 1, keyed by (gamma, theta), gamma the float
+# literal.  mpmath at 130 digits, as in the snippet above with k = 0, but
+# integrating exp(g t + theta z_m expm1(t) - c z_m^g expm1(g t)) over
+# t = s - s_m in [-1000, 1000] sig, split at 0, +-3, +-20, +-100 sig, taking
+# the moments as averages of y = e^t - 1 and (y - mean y)^2; 150 digits agree
+# to 3e-88.
+WEIBULL_NEAR_ONE = {
+    (1.05, 100.0): ("1.7947118232046199903791311698502660596554198151315360724090856898536890425558322e+40",
+                     "3.7688948287296987917475535546685327747590592525189139387223794380072641411502381e+39",
+                     "7.5377896574593908885930011151069741654273316234235851452930397376273408839465624e+38"),
+    (1.1, 1000.0): ("3.5049389948137129038626306505593880281122191378570547398907522967346972888964829e+31",
+                     "3.855432894295081081237716156624837693257624887491218378807191754345395486151408e+29",
+                     "3.8554328942950776569254208417427334976134451679438252187608089327615765363616138e+27"),
 }
 
 
@@ -235,6 +251,35 @@ class TestMgf:
         f = FadingSpec(kind="weibull_super", c=1.0, gamma=2.0)
         means = [f.tilted_mean(th) for th in (0.0, 1.0, 3.0, 10.0)]
         assert all(b > a for a, b in zip(means, means[1:]))
+
+    @pytest.mark.parametrize("gamma, theta", sorted(WEIBULL_NEAR_ONE))
+    def test_weibull_near_gamma_one_against_mpmath(self, gamma, theta):
+        # theta z_m is 3.6e41 and 3.9e32 here: the exponent and the log MGF
+        # must not subtract terms of that size
+        f = FadingSpec(kind="weibull_super", c=1.0, gamma=gamma)
+        log_m, mean, var = map(float, WEIBULL_NEAR_ONE[gamma, theta])
+        got_mean, got_var = f.tilted_moments(theta)
+        for got, want in ((f.log_mgf(theta), log_m), (got_mean, mean), (got_var, var)):
+            assert got == pytest.approx(want, rel=1e-13)
+
+    @settings(max_examples=150, deadline=None)
+    @given(gamma=st.floats(1.01, 8.0), log_theta=st.floats(-6.0, 7.0),
+           log_ratio=st.floats(0.01, 1.0))
+    def test_weibull_transforms_over_the_accepted_shapes(self, gamma, log_theta,
+                                                         log_ratio):
+        # theta z_m < 1e300, z_m below the start of the mode search
+        # (2 theta / gamma)^(1 / (gamma - 1)): past that, log M is no float.
+        # The second tilt is at least 2 % above the first, far beyond the
+        # quadrature's rounding
+        thetas = np.array([log_theta, min(log_theta + log_ratio, 7.0)])
+        log_z = np.maximum(np.log10(2.0 / gamma) + thetas, 0.0) / (gamma - 1.0)
+        assume(thetas[1] + log_z[1] < 300.0)
+        f = FadingSpec(kind="weibull_super", c=1.0, gamma=gamma)
+        log_m = f.log_mgf(10.0 ** thetas)
+        mean, var = f.tilted_moments(10.0 ** thetas)
+        assert np.all(np.isfinite(log_m) & np.isfinite(mean) & np.isfinite(var))
+        assert np.all(var > 0.0)
+        assert mean[1] >= mean[0]
 
 
 # -- tilted draws -----------------------------------------------------------

@@ -6,6 +6,7 @@ the fast structural guarantees close to the implementation.
 """
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -55,15 +56,15 @@ class TestDeterminism:
             (kind, beta, 2.5, 17)
 
 
-# sha256 of the patterns the single-pattern samplers drew before they became
-# block draws: ``pattern_digest`` over the PINNED_CASES in order, each drawn on
-# the streams RngStream(2024, i), i = 0..19.  The "ginibre" case and the
-# non-Palm beta = 1 case draw the same restriction.
-PINNED_DIGEST = "51f1d4d165aabf41b265c6f1b065528f923eca2877c0fa6c1e40baffcaabb167"
+# sha256 of the block draws: ``pattern_digest`` over the PINNED_CASES in
+# order, each a block of 20 patterns on RngStream(2024).  The "ginibre" case
+# and the non-Palm beta = 1 case draw the same restriction.
+PINNED_DIGEST = "dae68ab1e6f35af5fe80c2b464adcb854ebd8bae7ece71a1cbafa4b97ff4e934"
 PINNED_CASES = [(r, kind, beta) for r in (1.0, 2.5, 6.0)
                 for kind, beta in [("ginibre", 1.0)] + [(kind, beta)
                                                         for beta in (1.0, 0.5, 0.1)
                                                         for kind in ("beta", "palm")]]
+PINNED_STREAM, PINNED_SIZE = RngStream(2024), 20
 
 
 def pattern_digest(patterns) -> str:
@@ -73,69 +74,90 @@ def pattern_digest(patterns) -> str:
     return h.hexdigest()
 
 
-class TestPinnedOutput:
-    """Block draws reproduce the patterns of the one-at-a-time sampler."""
+def pinned_restriction(r, kind, beta):
+    return DiskRestriction(radius=r, beta=beta, palm_shift=kind == "palm")
 
-    streams = [RngStream(2024, i) for i in range(20)]
+
+def block_draw(restriction, rng, n, group=None, block=None):
+    """``_sample_projection_points``, with ``_GROUP`` and ``_BLOCK`` set."""
+    with mock.patch.multiple(samplers, _GROUP=group or samplers._GROUP,
+                             _BLOCK=block or samplers._BLOCK):
+        return samplers._sample_projection_points(restriction, rng, n)
+
+
+class TestPinnedOutput:
+    """Seeded block draws are pinned, and do not depend on how the block is cut."""
 
     def test_single_draws_match_the_pinned_digest(self):
-        patterns = [sample_pattern(DiskRestriction(radius=r, beta=beta,
-                                                   palm_shift=kind == "palm"),
-                                   stream).points
-                    for r, kind, beta in PINNED_CASES for stream in self.streams]
+        # with _GROUP = _BLOCK = 1 each pattern is drawn alone
+        patterns = []
+        for case in PINNED_CASES:
+            patterns += block_draw(pinned_restriction(*case), PINNED_STREAM,
+                                   PINNED_SIZE, group=1, block=1)[0]
         assert pattern_digest(patterns) == PINNED_DIGEST
 
     def test_block_draws_match_the_pinned_digest(self):
         patterns = []
-        for r, kind, beta in PINNED_CASES:
-            patterns += sample_block(
-                DiskRestriction(radius=r, beta=beta, palm_shift=kind == "palm"),
-                self.streams)
+        for case in PINNED_CASES:
+            patterns += sample_block(pinned_restriction(*case), PINNED_STREAM,
+                                     PINNED_SIZE)
         assert pattern_digest(patterns) == PINNED_DIGEST
+
+
+def assert_same_draws(a, b):
+    (pts_a, prop_a), (pts_b, prop_b) = a, b
+    assert len(pts_a) == len(pts_b)
+    assert all(np.array_equal(x, y) for x, y in zip(pts_a, pts_b))
+    assert np.array_equal(prop_a, prop_b)
+
+
+restrictions = st.builds(DiskRestriction, radius=st.floats(0.5, 4.0),
+                         beta=st.floats(0.05, 1.0), palm_shift=st.booleans())
+block_sizes = st.integers(1, max(2 * samplers._GROUP, samplers._BLOCK) + 9)
+seeds = st.integers(0, 2 ** 32)
 
 
 class TestBlockDraws:
     @settings(max_examples=8, deadline=None)
-    @given(radius=st.floats(0.5, 4.0), beta=st.floats(0.05, 1.0),
-           palm=st.booleans(),
-           size=st.integers(1, max(2 * samplers._GROUP, samplers._BLOCK) + 9),
-           seed=st.integers(0, 2 ** 32))
-    def test_a_block_equals_its_patterns_drawn_alone(self, radius, beta, palm,
-                                                     size, seed):
+    @given(restriction=restrictions, size=block_sizes, seed=seeds,
+           cut=st.sampled_from([1, 3]))
+    def test_a_block_equals_its_patterns_drawn_alone(self, restriction, size,
+                                                     seed, cut):
         # mixed point counts within a block exercise the padding, the sort by
-        # count, and the group and sub-block boundaries
-        restriction = DiskRestriction(radius=radius, beta=beta, palm_shift=palm)
-        streams = [RngStream(seed, i) for i in range(size)]
-        block = sample_block(restriction, streams)
-        _, proposals = samplers._sample_projection_points(
-            restriction, [s.generator() for s in streams])
-        for stream, pts, n_prop in zip(streams, block, proposals):
-            alone, alone_prop = samplers._sample_projection_points(
-                restriction, [stream.generator()])
-            assert np.array_equal(pts, alone[0])
-            assert n_prop == alone_prop[0]
+        # count, and the group and sub-block boundaries; with _GROUP = 1 each
+        # pattern is placed alone
+        rng = RngStream(seed, 7)
+        assert_same_draws(block_draw(restriction, rng, size),
+                          block_draw(restriction, rng, size, group=cut, block=cut))
 
     @settings(max_examples=8, deadline=None)
-    @given(radius=st.floats(0.5, 4.0), beta=st.floats(0.05, 1.0),
-           palm=st.booleans(),
-           size=st.integers(1, max(2 * samplers._GROUP, samplers._BLOCK) + 9),
-           seed=st.integers(0, 2 ** 32))
-    def test_counts_are_the_block_draws_point_counts(self, radius, beta, palm,
-                                                      size, seed):
-        restriction = DiskRestriction(radius=radius, beta=beta, palm_shift=palm)
-        streams = [RngStream(seed, i) for i in range(size)]
-        counts = sample_counts(restriction, streams)
+    @given(restriction=restrictions, size=block_sizes, seed=seeds,
+           data=st.data())
+    def test_a_pattern_does_not_depend_on_the_block_size(self, restriction, size,
+                                                         seed, data):
+        shorter = data.draw(st.integers(1, size))
+        rng = RngStream(seed, 3)
+        points, proposals = block_draw(restriction, rng, size)
+        assert_same_draws((points[:shorter], proposals[:shorter]),
+                          block_draw(restriction, rng, shorter))
+
+    @settings(max_examples=8, deadline=None)
+    @given(restriction=restrictions, size=block_sizes, seed=seeds)
+    def test_counts_are_the_block_draws_point_counts(self, restriction, size,
+                                                      seed):
+        rng = RngStream(seed)
+        counts = sample_counts(restriction, rng, size)
         assert counts.dtype.kind == "i"
-        assert counts.tolist() == [len(pts) for pts in sample_block(restriction, streams)]
+        assert counts.tolist() == [len(pts) for pts in sample_block(restriction, rng, size)]
 
     def test_counts_place_no_point(self, monkeypatch):
         restriction = DiskRestriction(radius=3.0, beta=0.5, palm_shift=True)
-        streams = [RngStream(5, i) for i in range(40)]
-        counts = [len(pts) for pts in sample_block(restriction, streams)]
+        rng = RngStream(5)
+        counts = [len(pts) for pts in sample_block(restriction, rng, 40)]
         monkeypatch.setattr(samplers, "STALL_CAP", -1)  # stall before any proposal
         with pytest.raises(SamplerStallError):
-            sample_block(restriction, streams)
-        assert sample_counts(restriction, streams).tolist() == counts
+            sample_block(restriction, rng, 40)
+        assert sample_counts(restriction, rng, 40).tolist() == counts
 
     @pytest.mark.parametrize("radius, k", [(1.0, 1), (2.0, 4), (5.0, 25)])
     def test_mean_proposals_per_pattern_is_k_harmonic_k(self, radius, k):
@@ -143,8 +165,7 @@ class TestBlockDraws:
         (k - n) / k, so a k-point pattern takes sum_n k / (k - n) = k H_k
         proposals on average."""
         points, proposals = samplers._sample_projection_points(
-            DiskRestriction(radius=radius),
-            [RngStream(80, i).generator() for i in range(1000)])
+            DiskRestriction(radius=radius), RngStream(80), 1000)
         sample = proposals[np.array([len(pts) for pts in points]) == k]
         p = np.arange(1, k + 1) / k  # acceptance probability per stage
         mean, var = np.sum(1 / p), np.sum((1 - p) / p ** 2)
@@ -194,14 +215,24 @@ class TestGeometry:
 
     def test_stall_in_a_block_names_the_pattern(self, monkeypatch):
         restriction = DiskRestriction(radius=3.0, beta=0.5, palm_shift=True)
-        streams = [RngStream(0, i) for i in range(6)]
-        counts = [len(pts) for pts in sample_block(restriction, streams)]
+        counts = [len(pts) for pts in sample_block(restriction, RngStream(0), 10)]
+        active_sets = samplers._active_sets
+
+        def first_chunk_empty(restriction, rng, n):
+            for start, on, ms in active_sets(restriction, rng, n):
+                yield start, on & (start > 0), ms
+
+        # the first chunk of 4 places no point, so the stall is in the second,
+        # and names the pattern by its index in the whole block
+        monkeypatch.setattr(samplers, "_active_sets", first_chunk_empty)
+        monkeypatch.setattr(samplers, "_BLOCK", 4)
         monkeypatch.setattr(samplers, "STALL_CAP", -1)
         with pytest.raises(SamplerStallError) as exc:
-            sample_block(restriction, streams)
+            sample_block(restriction, RngStream(0), 10)
         diag = exc.value.diagnostics
         assert (diag["radius"], diag["beta"], diag["palm_shift"]) == (3.0, 0.5, True)
         assert diag["placed"] == 0 < diag["target_points"]
+        assert 4 <= diag["pattern"] < 8
         assert diag["target_points"] == counts[diag["pattern"]]
 
     def test_stall_cap_counts_each_pattern_alone(self, monkeypatch):
@@ -210,14 +241,13 @@ class TestGeometry:
         # as a whole scans far more than that
         monkeypatch.setattr(samplers, "STALL_CAP", 0)
         _, proposals = samplers._sample_projection_points(
-            DiskRestriction(radius=1.0), [RngStream(1, i).generator() for i in range(300)])
+            DiskRestriction(radius=1.0), RngStream(1), 300)
         assert proposals.sum() > 64 >= proposals.max()
 
 
 def block_counts(restriction, seed, n):
-    """Point counts of the block draw on streams (seed, 0..n-1)."""
-    return np.array([len(pts) for pts in sample_block(
-        restriction, [RngStream(seed, i) for i in range(n)])])
+    """Point counts of a block of n draws on RngStream(seed)."""
+    return np.array([len(pts) for pts in sample_block(restriction, RngStream(seed), n)])
 
 
 class TestCountMoments:
@@ -273,8 +303,7 @@ class TestRepulsion:
         baseline.  Patterns with the same moduli but uniform angles keep
         every count in an origin-centred disk, and fail the exact mean."""
         radius, cutoff, n_pat = 8.0, 1.0, 1000
-        ginibre = sample_block(DiskRestriction(radius=radius),
-                               [RngStream(40, i) for i in range(n_pat)])
+        ginibre = sample_block(DiskRestriction(radius=radius), RngStream(40), n_pat)
         gin = np.array([close_pairs(pts, cutoff) for pts in ginibre])
         poi = np.array([close_pairs(sample_poisson(radius, RngStream(41, i)).points,
                                     cutoff) for i in range(n_pat)])
@@ -312,7 +341,7 @@ class TestSubBallCountLaw:
         radius = 2.0
         patterns = sample_block(
             DiskRestriction(radius=radius, beta=beta, palm_shift=palm),
-            [RngStream(seed, i) for i in range(3000)])
+            RngStream(seed), 3000)
         counts = np.array([np.sum(np.abs(pts) <= radius / 2) for pts in patterns])
         pmf = count_distribution(
             DiskRestriction(radius=radius / 2, beta=beta, palm_shift=palm), 30)
@@ -326,7 +355,7 @@ class TestSubBallCountLaw:
         # pooled 40 000 counts give p = 0.52, with the exact mean and variance
         beta, radius, centre, rho = 0.5, 4.0, 2.0, 1.5
         patterns = sample_block(DiskRestriction(radius=radius, beta=beta),
-                                [RngStream(76, i) for i in range(2000)])
+                                RngStream(76), 2000)
         counts = np.array([np.sum(np.abs(pts - centre) <= rho) for pts in patterns])
         pmf = count_distribution(DiskRestriction(radius=rho, beta=beta), 30)
         assert chisquare_vs_pmf(counts, pmf) > 0.01
@@ -367,9 +396,9 @@ class TestKostlan:
         draw = samplers.sample_block
         gen = np.random.default_rng(7)
 
-        def spun(restriction, streams):
+        def spun(restriction, rng, n):
             return [np.abs(pts) * np.exp(2j * np.pi * gen.random(len(pts)))
-                    for pts in draw(restriction, streams)]
+                    for pts in draw(restriction, rng, n)]
 
         monkeypatch.setattr(samplers, "sample_block", spun)
         res = validate.check_kostlan(quick=True)
