@@ -18,7 +18,7 @@ from .config import ConfigError, load_config
 from .errors import CapExceededError, SamplerStallError
 from .estimation import fit_slope, grid_estimates
 from .fading import FADING_KINDS, FadingSpec
-from .patterns import RngStream, pattern_csv_text, write_pattern_csv
+from .patterns import RngStream, pattern_csv_text
 from .rates import (LdpRegime, growth_function, poisson_comparison, rate,
                     speed, tail_asymptote)
 from .samplers import sample_pattern, sample_poisson
@@ -135,10 +135,11 @@ def cmd_sample(args) -> int:
     except SamplerStallError as exc:
         print(f"error: {exc} {exc.diagnostics}", file=sys.stderr)
         return 1
+    text = pattern_csv_text(pat)
     if args.out is None:
-        sys.stdout.write(pattern_csv_text(pat))
+        sys.stdout.write(text)
     else:
-        write_pattern_csv(pat, args.out)
+        args.out.write_text(text)
         print(f"wrote {len(pat)} points to {args.out}")
     return 0
 

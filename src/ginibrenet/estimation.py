@@ -162,17 +162,17 @@ def _distance_draw(model: NetworkModel):
 
 def _pattern_tilt(fading: FadingSpec, gains: np.ndarray, x: float) -> np.ndarray:
     """Per row of ``gains`` (each with a positive gain), the tilt theta >= 0
-    solving sum_j tilted_mean(theta L_j) L_j = x; 0 where the untilted mean
-    already reaches x.
+    solving sum_j m(theta L_j) L_j = x, with (m, v) = ``tilted_moments``; 0
+    where the untilted mean already reaches x.
 
     Each mark is tilted at theta times its own attenuation gain, which tilts
     the conditional distribution of I given the pattern directly; the
     estimator stays unbiased because the tilt depends on positions only.
-    With S(theta) = sum_j tilted_mean(theta L_j) L_j, exponential marks solve
+    With S(theta) = sum_j m(theta L_j) L_j, exponential marks solve
     1 - x / S(theta) = 0 inside [0, c / max L], where S is infinite; for one
     mark that gap is linear in theta.  The other kinds solve S(theta) / x = 1.
     Both gaps increase in theta, and their slopes come from
-    S'(theta) = sum_j tilted_var(theta L_j) L_j^2, taken from the same
+    S'(theta) = sum_j v(theta L_j) L_j^2, taken from the same
     evaluation as S (one quadrature for ``weibull_super``).  ``_newton``
     finds the root.
     """
@@ -183,7 +183,7 @@ def _pattern_tilt(fading: FadingSpec, gains: np.ndarray, x: float) -> np.ndarray
         gains = np.sort(gains, axis=1)
 
         def gap(theta, g):
-            # q_j = L_j tilted_mean(theta L_j); q_j^2 = L_j^2 tilted_var(theta L_j)
+            # q_j = L_j m(theta L_j); q_j^2 = L_j^2 v(theta L_j)
             with np.errstate(divide="ignore"):
                 q = g / (c - theta[:, None] * g)
             total, total_sq = q.cumsum(axis=1)[:, -1], (q * q).cumsum(axis=1)[:, -1]
@@ -192,7 +192,7 @@ def _pattern_tilt(fading: FadingSpec, gains: np.ndarray, x: float) -> np.ndarray
         def gap(theta, g):
             on = g > 0
             mean, var = np.zeros_like(g), np.zeros_like(g)
-            # tilts whose moments pass the float range give nan, which
+            # tilts whose moments pass the float range give inf, which
             # _newton reads as past the root
             with np.errstate(over="ignore", invalid="ignore"):
                 mean[on], var[on] = fading.tilted_moments((theta[:, None] * g)[on])
@@ -475,7 +475,7 @@ class DominatingEventProbe:
 
 
 def dominating_event_probe(model: NetworkModel, x: float, eps: float,
-                           rng: RngStream, n_reps: int = 20_000) -> DominatingEventProbe:
+                           rng: RngStream, n_reps: int) -> DominatingEventProbe:
     """Monte Carlo check that the proof's lower-bound events really minorize
     the tail: block bound P(N(b(y,r)) >= n) P(Z > R^a x/(n eps))^n and the
     single-jump bound P(Z > R^a x/eps) P(N(b(y,r)) >= 1).

@@ -178,16 +178,9 @@ class FadingSpec:
             val = self._weibull_tilt(pos)[0]
         return _at_positive(theta, val, 0.0)
 
-    def tilted_mean(self, theta):
-        """Mean of the exponentially tilted law, d/dtheta log MGF."""
-        return self.tilted_moments(theta)[0]
-
-    def tilted_var(self, theta):
-        """Variance of the exponentially tilted law, d^2/dtheta^2 log MGF."""
-        return self.tilted_moments(theta)[1]
-
     def tilted_moments(self, theta):
-        """(``tilted_mean``, ``tilted_var``) from one evaluation: one
+        """(mean, variance) of the exponentially tilted law, the first and
+        second derivatives of the log MGF, from one evaluation: one
         quadrature for ``weibull_super``."""
         theta = self._tilts(theta)
         pos = theta[theta > 0]
@@ -240,15 +233,20 @@ class FadingSpec:
         which cancels terms of order theta z_m.  The tilted mean is
         z_m (1 + m), m the weighted average of y, and the variance the
         weighted average of z_m^2 (y - m)^2, so a narrow law loses no digits
-        to cancellation.
+        to cancellation.  A tilt whose mode or curvature (g - 1) theta z_m
+        passes the float range gets +inf for all three.
         """
         c, g = self.c, self.gamma
-        log_mgf, mean, var = (np.empty(len(theta)) for _ in range(3))
-        for lo in range(0, len(theta), _QUAD_CHUNK):
-            th = theta[lo:lo + _QUAD_CHUNK]
-            z = self._weibull_mode(th)
+        log_mgf, mean, var = (np.full(len(theta), np.inf) for _ in range(3))
+        modes = self._weibull_mode(theta)
+        with np.errstate(over="ignore"):
+            curvature = (g - 1.0) * theta * modes + g * g
+        finite = np.flatnonzero(np.isfinite(curvature))
+        for lo in range(0, len(finite), _QUAD_CHUNK):
+            sl = finite[lo:lo + _QUAD_CHUNK]
+            th, z = theta[sl], modes[sl]
             czg = (c * z ** g)[:, None]
-            scale = 1.0 / np.sqrt((g - 1.0) * th * z + g * g)
+            scale = 1.0 / np.sqrt(curvature[sl])
             reach = []  # each side's span in units of scale
             for side in (-1.0, 1.0):
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -265,7 +263,6 @@ class FadingSpec:
             total = w.sum(axis=1)
             shift = (w * y).sum(axis=1) / total  # mean / z_m - 1
             dev = (y - shift[:, None]) / scale[:, None]
-            sl = slice(lo, lo + _QUAD_CHUNK)
             log_mgf[sl] = (math.log(c * g) + g * np.log(z) + (g - 1.0) * czg[:, 0] - g
                            + np.log(scale * total))
             mean[sl] = z * (1.0 + shift)
@@ -278,19 +275,23 @@ class FadingSpec:
         Newton from a point right of the root decreases to it monotonically.
         k = 0 is the mode in s = log z of ``_weibull_tilt``'s integrand, and
         k = -1 that of the tilted density in z.  Each entry stops on its own,
-        so its mode does not depend on its neighbours."""
+        so its mode does not depend on its neighbours.  An entry whose start
+        or Newton step passes the float range reads +inf."""
         c, g = self.c, self.gamma
-        z = np.maximum((2.0 * theta / (c * g)) ** (1.0 / (g - 1.0)),
-                       (2.0 * (g + k) / (c * g)) ** (1.0 / g))
-        act = np.arange(len(theta))
-        for _ in range(_MODE_STEPS):
-            th, za = theta[act], z[act]
-            step = (g + k + th * za - c * g * za ** g) / (th - c * g * g * za ** (g - 1.0))
-            z[act] = za = za - step
-            moving = np.abs(step) > 1e-13 * za
-            act, step, za = act[moving], step[moving], za[moving]
-            if len(act) == 0:
-                return z
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = np.maximum((2.0 * theta / (c * g)) ** (1.0 / (g - 1.0)),
+                           (2.0 * (g + k) / (c * g)) ** (1.0 / g))
+            act = np.arange(len(theta))
+            for _ in range(_MODE_STEPS):
+                th, za = theta[act], z[act]
+                step = (g + k + th * za - c * g * za ** g) / (th - c * g * g * za ** (g - 1.0))
+                z[act] = za = za - step
+                # an overflow makes the step nan, which stops the entry
+                moving = np.abs(step) > 1e-13 * za
+                act, step, za = act[moving], step[moving], za[moving]
+                if len(act) == 0:
+                    z[~np.isfinite(z)] = np.inf
+                    return z
         worst = int(np.argmax(np.abs(step) / za))
         raise CapExceededError(
             "weibull_super mode search did not converge",
@@ -369,6 +370,11 @@ class FadingSpec:
         """
         c, g = self.c, self.gamma
         zm = self._weibull_mode(theta, -1.0)
+        if not np.all(np.isfinite(zm)):
+            raise CapExceededError(
+                "tilted mark draw: the mode passes the float range",
+                diagnostics={"kind": "weibull_super", "c": c, "gamma": g,
+                             "theta_max": float(theta[~np.isfinite(zm)].max())})
         big_a = c * zm ** g
 
         def log_rel(y, a):  # h(y), with A = a

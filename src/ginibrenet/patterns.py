@@ -77,11 +77,6 @@ def pattern_csv_text(pattern: PointPattern) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_pattern_csv(pattern: PointPattern, path: str | Path) -> None:
-    """Write ``pattern_csv_text(pattern)`` to ``path``."""
-    Path(path).write_text(pattern_csv_text(pattern))
-
-
 def read_pattern_csv(path: str | Path) -> PointPattern:
     text = Path(path).read_text().strip().splitlines()
     if not text or not text[0].startswith("#"):

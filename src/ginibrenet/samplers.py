@@ -1,4 +1,4 @@
-"""Random generation of point patterns and the Kostlan exact-law diagnostic.
+"""Random generation of point patterns.
 
 The Ginibre sampler follows the spectral recipe for determinantal processes:
 draw a Bernoulli(kappa_m) subset of eigenfunctions, then place that many
@@ -28,20 +28,15 @@ of ``sample_block(restriction, rng, n)`` from the Bernoulli step alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from .errors import SamplerStallError
-from .goodness_of_fit import chisquare_vs_pmf, ks_vs_cdf
 from .patterns import PointPattern, RngStream
-from .spectral import (DiskRestriction, count_distribution, eigenvalues,
-                       poisson_binomial_pmf)
+from .spectral import DiskRestriction, eigenvalues
 
 STALL_CAP = 1_000_000  # proposals per point before giving up with diagnostics
-KOSTLAN_ORDERS = (1, 2)  # the order statistics kostlan_validation tests
-KOSTLAN_BALLS = ((3.0, 2.5), (4.0, 1.5))  # its off-centre balls b(c, rho)
 _BLOCK = 128  # patterns whose active sets and generators are live at once
 _GROUP = 32  # patterns advanced together, sorted by point count
 _WINDOW = 16  # most proposals one pattern featurizes at a time
@@ -321,64 +316,3 @@ def sample_poisson(window_radius: float, rng: RngStream) -> PointPattern:
                         window_radius=window_radius, process_kind="poisson",
                         beta=1.0, seed=rng.master_seed)
 
-
-@dataclass
-class KostlanReport:
-    """KS statistics and p-values, one per order in ``KOSTLAN_ORDERS``, and
-    the chi-square p-value of the count in each ball of ``KOSTLAN_BALLS``."""
-
-    radius: float
-    n_reps: int
-    ks_statistics: tuple[float, ...]
-    p_values: tuple[float, ...]
-    ball_p_values: tuple[float, ...]
-
-
-def _order_cdf(t: np.ndarray, i: int, n_terms: int) -> np.ndarray:
-    """P(N(b(0, sqrt t)) >= i), the CDF at t of the i-th smallest squared
-    modulus of the Ginibre process.  By Kostlan's theorem N is a sum of
-    independent Bernoulli(gammainc(m + 1, t)); the sum runs over m < n_terms."""
-    kappa = special.gammainc(np.arange(1, n_terms + 1)[:, None], t)
-    return 1.0 - poisson_binomial_pmf(kappa, i - 1).sum(axis=0)
-
-
-def kostlan_validation(radius: float, n_reps: int, rng: RngStream) -> KostlanReport:
-    """Exact-law checks of ``n_reps`` Ginibre patterns on b(0, radius).
-
-    * One-sample KS of the i-th smallest squared modulus, i in
-      ``KOSTLAN_ORDERS``, against its exact law (``_order_cdf``).  The
-      terms m run over ``eigenvalues(DiskRestriction(radius))``: for t up to
-      radius^2 each dropped term is below that cut.
-    * Chi-square of the count in each ball b(c, rho) of ``KOSTLAN_BALLS``
-      against ``count_distribution(DiskRestriction(rho))``.  The Ginibre process is
-      stationary, so an off-centre ball inside the disk has the count law of
-      a centred one; unlike the moduli, these counts see the angles.
-    """
-    if n_reps <= 0:
-        raise ValueError("n_reps must be positive")
-    reach = max(abs(centre) + rho for centre, rho in KOSTLAN_BALLS)
-    if radius < reach:
-        raise ValueError(f"radius {radius} is below {reach}: the balls of "
-                         f"KOSTLAN_BALLS must lie inside b(0, radius)")
-    restriction = DiskRestriction(radius=radius)
-    k = max(KOSTLAN_ORDERS)
-    patterns = sample_block(restriction, rng, n_reps)
-    # a pattern with fewer than k points (vanishing probability at these
-    # radii) reads radius^2 for its missing moduli
-    smallest = np.full((k, n_reps), radius * radius)
-    for rep, pts in enumerate(patterns):
-        sq = np.sort(np.abs(pts) ** 2)[:k]
-        smallest[:len(sq), rep] = sq
-    n_terms = len(eigenvalues(restriction))
-    ks = [ks_vs_cdf(_order_cdf(smallest[i - 1], i, n_terms))
-          for i in KOSTLAN_ORDERS]
-    ball_p = []
-    for centre, rho in KOSTLAN_BALLS:
-        counts = np.array([np.count_nonzero(np.abs(pts - centre) <= rho)
-                           for pts in patterns])
-        pmf = count_distribution(DiskRestriction(radius=rho), int(counts.max()) + 10)
-        ball_p.append(chisquare_vs_pmf(counts, pmf))
-    return KostlanReport(radius=radius, n_reps=n_reps,
-                         ks_statistics=tuple(d for d, _ in ks),
-                         p_values=tuple(p for _, p in ks),
-                         ball_p_values=tuple(ball_p))

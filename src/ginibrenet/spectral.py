@@ -95,9 +95,9 @@ def eigenvalues(restriction: DiskRestriction, tol: float = DEFAULT_TOL) -> np.nd
                                       restriction.beta, shift, tol))
 
 
-def trace_bound(restriction: DiskRestriction, tol: float = DEFAULT_TOL) -> float:
+def trace_bound(restriction: DiskRestriction) -> float:
     """Sum of the eigenvalue sequence; equals radius^2 for the non-Palm kernel."""
-    return float(np.sum(eigenvalues(restriction, tol)))
+    return float(np.sum(eigenvalues(restriction)))
 
 
 def poisson_binomial_pmf(probs: np.ndarray, max_n: int) -> np.ndarray:
@@ -170,36 +170,35 @@ def pair_correlation(x1: complex, x2: complex) -> float:
     return float(-np.expm1(-abs(complex(x1) - complex(x2)) ** 2))
 
 
-def _log_chernoff(model: "NetworkModel", x: float, eps: float,
+def _log_chernoff(model: "NetworkModel", x: float,
                   thetas: np.ndarray) -> np.ndarray:
-    """log of the Chernoff bound on P(eps * I_Lambda >= x), per mark tilt.
+    """log of the Chernoff bound on P(I_Lambda >= x), per mark tilt.
 
     Uses the enclosing disk b(O, Rtilde) around the origin, its thinned
     eigenvalue sequence, and -theta x + sum_m log(1 + (M - 1) kappa_m), with
-    M the fading MGF at theta * eps * R^(-alpha).
+    M the fading MGF at theta * R^(-alpha).
     """
     r_enclose = abs(model.window.center) + model.window.radius
     restriction = DiskRestriction(radius=r_enclose, beta=model.beta, palm_shift=False)
     vals = eigenvalues(restriction)
-    log_m = model.fading.log_mgf(thetas * eps * model.atten_R ** (-model.atten_alpha))
+    log_m = model.fading.log_mgf(thetas * model.atten_R ** (-model.atten_alpha))
     with np.errstate(divide="ignore"):
         log_terms = np.logaddexp(np.log1p(-vals), np.log(vals) + log_m[:, None])
     return -thetas * x + log_terms.sum(axis=1)
 
 
-def minimized_chernoff_bound(model: "NetworkModel", x: float,
-                             eps: float) -> tuple[float, float]:
+def minimized_chernoff_bound(model: "NetworkModel", x: float) -> tuple[float, float]:
     """Minimum of the Chernoff bound over the grid of positive tilts at which
     the mark MGF is finite, evaluated in one call.
 
     Returns (bound, minimizing theta); theta is 0 when no tilt on the grid
     brings the bound below 1.
     """
-    mark_tilts = _THETA_GRID * eps * model.atten_R ** (-model.atten_alpha)
+    mark_tilts = _THETA_GRID * model.atten_R ** (-model.atten_alpha)
     thetas = _THETA_GRID[mark_tilts < model.fading.mgf_abscissa]
     if len(thetas) == 0:
         return 1.0, 0.0
-    log_bounds = _log_chernoff(model, x, eps, thetas)
+    log_bounds = _log_chernoff(model, x, thetas)
     best = int(np.argmin(log_bounds))
     bound = float(np.exp(min(log_bounds[best], 0.0)))
     return (bound, float(thetas[best])) if bound < 1.0 else (1.0, 0.0)

@@ -11,21 +11,23 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import CapExceededError, MgfDivergenceError
 from .estimation import (dominating_event_probe, estimate_interference_tail,
                          speed_regression, subexp_sum_ratio)
 from .fading import FadingSpec
-from .goodness_of_fit import chisquare_vs_pmf, two_sample_count_chisquare
+from .goodness_of_fit import (chisquare_vs_pmf, ks_vs_cdf,
+                              two_sample_count_chisquare)
 from .interference import DiskWindow, NetworkModel
 from .patterns import RngStream
 from .rates import (LdpRegime, poisson_comparison, rate, speed,
                     weibull_rate_constant)
-from .samplers import (KOSTLAN_BALLS, KOSTLAN_ORDERS, kostlan_validation,
-                       sample_counts)
+from .samplers import sample_block, sample_counts
 from .spectral import (DiskRestriction, count_distribution, eigenvalues,
                        log_count_tail, log_disk_eigenvalue,
-                       minimized_chernoff_bound, trace_bound)
+                       minimized_chernoff_bound, poisson_binomial_pmf,
+                       trace_bound)
 
 # Every check draws on RngStream(MASTER_SEED, id); no two checks share a
 # seed sequence at either budget.  The ids, by check:
@@ -35,6 +37,11 @@ from .spectral import (DiskRestriction, count_distribution, eigenvalues,
 #   exponential_slope 1500, 2500, ... (grid point i on 500 + 1000 (i + 1));
 #   subexp_ratio 600; chernoff_dominance 700-702; lower_bound_ordering 800-817.
 MASTER_SEED = 20240901
+# check_kostlan: the order statistics it tests, its off-centre balls
+# b(c, rho), and the radius of its Ginibre disk, which holds every ball
+KOSTLAN_ORDERS = (1, 2)
+KOSTLAN_BALLS = ((3.0, 2.5), (4.0, 1.5))
+KOSTLAN_RADIUS = 6.0
 
 
 @dataclass
@@ -118,20 +125,52 @@ def check_palm_identity(quick: bool = False) -> CheckResult:
     return _result("palm_identity", ok, "; ".join(details), t0)
 
 
-def check_kostlan(quick: bool = False) -> CheckResult:
-    """KS agreement of the two smallest squared moduli with their exact
-    Kostlan law, and chi-square agreement of the counts in two off-centre
-    balls with the exact count law of a centred ball of the same radius.
+def _order_cdf(t: np.ndarray, i: int, n_terms: int) -> np.ndarray:
+    """P(N(b(0, sqrt t)) >= i), the CDF at t of the i-th smallest squared
+    modulus of the Ginibre process.  By Kostlan's theorem N is a sum of
+    independent Bernoulli(gammainc(m + 1, t)); the sum runs over m < n_terms."""
+    kappa = special.gammainc(np.arange(1, n_terms + 1)[:, None], t)
+    return 1.0 - poisson_binomial_pmf(kappa, i - 1).sum(axis=0)
 
-    The moduli are rotation invariant; the ball counts read the angles."""
+
+def check_kostlan(quick: bool = False) -> CheckResult:
+    """Exact-law checks of Ginibre patterns on b(0, KOSTLAN_RADIUS).
+
+    * One-sample KS of the i-th smallest squared modulus, i in
+      ``KOSTLAN_ORDERS``, against its exact Kostlan law (``_order_cdf``).
+      The terms m run over ``eigenvalues(DiskRestriction(KOSTLAN_RADIUS))``:
+      for t up to KOSTLAN_RADIUS^2 each dropped term is below that cut.
+    * Chi-square of the count in each ball b(c, rho) of ``KOSTLAN_BALLS``
+      against ``count_distribution(DiskRestriction(rho))``.  The Ginibre
+      process is stationary, so an off-centre ball inside the disk has the
+      count law of a centred one; unlike the moduli, these counts see the
+      angles.
+    """
     t0 = time.perf_counter()
     n_reps = 1000 if quick else 5000
-    report = kostlan_validation(6.0, n_reps, RngStream(MASTER_SEED, 300))
-    ok = all(p > 0.01 for p in report.p_values + report.ball_p_values)
+    restriction = DiskRestriction(radius=KOSTLAN_RADIUS)
+    patterns = sample_block(restriction, RngStream(MASTER_SEED, 300), n_reps)
+    # a pattern with fewer than k points (vanishing probability at this
+    # radius) reads KOSTLAN_RADIUS^2 for its missing moduli
+    k = max(KOSTLAN_ORDERS)
+    smallest = np.full((k, n_reps), KOSTLAN_RADIUS * KOSTLAN_RADIUS)
+    for rep, pts in enumerate(patterns):
+        sq = np.sort(np.abs(pts) ** 2)[:k]
+        smallest[:len(sq), rep] = sq
+    n_terms = len(eigenvalues(restriction))
+    order_p = [ks_vs_cdf(_order_cdf(smallest[i - 1], i, n_terms))[1]
+               for i in KOSTLAN_ORDERS]
+    ball_p = []
+    for centre, rho in KOSTLAN_BALLS:
+        counts = np.array([np.count_nonzero(np.abs(pts - centre) <= rho)
+                           for pts in patterns])
+        pmf = count_distribution(DiskRestriction(radius=rho), int(counts.max()) + 10)
+        ball_p.append(chisquare_vs_pmf(counts, pmf))
+    ok = all(p > 0.01 for p in order_p + ball_p)
     orders = ", ".join(f"order {i}: p={p:.4f}"
-                       for i, p in zip(KOSTLAN_ORDERS, report.p_values))
+                       for i, p in zip(KOSTLAN_ORDERS, order_p))
     balls = ", ".join(f"ball b({c:g}, {rho:g}): p={p:.4f}"
-                      for (c, rho), p in zip(KOSTLAN_BALLS, report.ball_p_values))
+                      for (c, rho), p in zip(KOSTLAN_BALLS, ball_p))
     return _result("kostlan", ok, f"{orders}; {balls}", t0)
 
 
@@ -232,7 +271,7 @@ def check_chernoff_dominance(quick: bool = False) -> CheckResult:
     for xi, x in enumerate((2.5, 3.5, 4.5)):
         est = estimate_interference_tail(model, x, n_reps, "crude",
                                          stream.substream(xi))
-        bound, theta = minimized_chernoff_bound(model, x, eps=1.0)
+        bound, theta = minimized_chernoff_bound(model, x)
         passed = est.probability + 3.0 * est.stderr <= bound
         details.append(f"x={x}: p={est.probability:.2e}+3se vs bound {bound:.2e}"
                        f" (theta*={theta:.2f})")

@@ -124,8 +124,12 @@ def seeds_by_check():
 
     with mock.patch.object(np.random, "PCG64", recording):
         for check in validate.ALL_CHECKS:
-            current = seen[check.__name__.removeprefix("check_")] = []
-            assert check(quick=True).passed
+            name = check.__name__.removeprefix("check_")
+            current = seen[name] = []
+            res = check(quick=True)
+            # the bench and run_suite name a check by its function, the
+            # result by its name field: they must agree
+            assert res.name == name and res.passed
     return seen
 
 

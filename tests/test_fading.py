@@ -1,5 +1,6 @@
 """Fading laws: survival/density identities, MGFs, sampling moments."""
 import math
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -16,6 +17,13 @@ from ginibrenet.patterns import RngStream
 
 def gen(seed=1234):
     return RngStream(seed).generator()
+
+
+def transforms(f):
+    """The log MGF and the tilted mean and variance of f, each a function
+    of the tilt."""
+    return (f.log_mgf, lambda t: f.tilted_moments(t)[0],
+            lambda t: f.tilted_moments(t)[1])
 
 
 # log E[Z^k e^(theta Z)], k = 0 then 1, of weibull_super marks (survival
@@ -182,7 +190,7 @@ class TestMgf:
                          (FadingSpec(kind="bounded", bound=1.0), 1.3),
                          (FadingSpec(kind="weibull_super", c=1.0, gamma=2.0), 2.0)):
             numeric = (f.log_mgf(theta + h) - f.log_mgf(theta - h)) / (2 * h)
-            assert f.tilted_mean(theta) == pytest.approx(numeric, rel=1e-4)
+            assert f.tilted_moments(theta)[0] == pytest.approx(numeric, rel=1e-4)
 
     @pytest.mark.parametrize("theta_b", [0.5, 50.0, 1e3, 1e5])
     def test_bounded_against_quadrature(self, theta_b):
@@ -200,14 +208,14 @@ class TestMgf:
 
         m0 = moment(0)
         assert f.log_mgf(theta) == pytest.approx(theta_b + math.log(m0), rel=1e-10)
-        assert f.tilted_mean(theta) == pytest.approx(moment(1) / m0, rel=1e-10)
+        assert f.tilted_moments(theta)[0] == pytest.approx(moment(1) / m0, rel=1e-10)
 
     @pytest.mark.parametrize("gamma, c", sorted(WEIBULL_LOG_MOMENTS))
     def test_weibull_log_moments_against_mpmath(self, gamma, c):
         f = FadingSpec(kind="weibull_super", c=c, gamma=gamma)
         thetas = np.array(WEIBULL_THETAS)
         log_m0 = f.log_mgf(thetas)
-        log_m1 = log_m0 + np.log(f.tilted_mean(thetas))
+        log_m1 = log_m0 + np.log(f.tilted_moments(thetas)[0])
         for got, want in zip((log_m0, log_m1), map(np.array, WEIBULL_LOG_MOMENTS[gamma, c])):
             assert np.all(np.abs(got - want) <= 1e-8 * np.maximum(1.0, np.abs(want)))
 
@@ -229,7 +237,7 @@ class TestMgf:
                                    FadingSpec(kind="weibull_super", c=1.0, gamma=1.5)])
     def test_transforms_map_arrays_elementwise(self, f):
         thetas = np.array([[0.0, 0.3], [1.2, 1.9]])
-        for transform in (f.log_mgf, f.tilted_mean):
+        for transform in transforms(f):
             got = transform(thetas)
             assert got.shape == thetas.shape
             want = [[transform(t) for t in row] for row in thetas]
@@ -243,13 +251,13 @@ class TestMgf:
         f = FadingSpec(kind="weibull_super", c=1.0, gamma=gamma)
         thetas = np.geomspace(1e-3, 1e3, 2 * fading._QUAD_CHUNK + 37)
         np.random.default_rng(5).shuffle(thetas)
-        for transform in (f.log_mgf, f.tilted_mean):
+        for transform in transforms(f):
             np.testing.assert_array_equal(transform(thetas),
                                           [transform(t) for t in thetas])
 
     def test_tilted_mean_increasing_in_theta(self):
         f = FadingSpec(kind="weibull_super", c=1.0, gamma=2.0)
-        means = [f.tilted_mean(th) for th in (0.0, 1.0, 3.0, 10.0)]
+        means = [f.tilted_moments(th)[0] for th in (0.0, 1.0, 3.0, 10.0)]
         assert all(b > a for a, b in zip(means, means[1:]))
 
     @pytest.mark.parametrize("gamma, theta", sorted(WEIBULL_NEAR_ONE))
@@ -261,6 +269,25 @@ class TestMgf:
         got_mean, got_var = f.tilted_moments(theta)
         for got, want in ((f.log_mgf(theta), log_m), (got_mean, mean), (got_var, var)):
             assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("gamma, inside, past", [
+        (1.05, (1.0, 1e5), 1e20),  # the mode search's start overflows
+        (8.0, (1.0, 1e200), 1e280),  # the mode is a float, (g - 1) theta z_m is not
+    ])
+    def test_weibull_past_the_float_range_reads_inf(self, gamma, inside, past):
+        # every transform of a tilt past the float range is +inf, with no
+        # warning, and the tilts beside it keep the bits of their scalar calls
+        f = FadingSpec(kind="weibull_super", c=1.0, gamma=gamma)
+        thetas = np.array([*inside, past])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = (f.log_mgf(thetas), *f.tilted_moments(thetas))
+            assert f.log_mgf(past) == math.inf
+            assert f.tilted_moments(past) == (math.inf, math.inf)
+            alone = [(f.log_mgf(t), *f.tilted_moments(t)) for t in inside]
+        for values, column in zip(got, zip(*alone)):
+            assert np.all(np.isfinite(column))
+            np.testing.assert_array_equal(values, [*column, math.inf])
 
     @settings(max_examples=150, deadline=None)
     @given(gamma=st.floats(1.01, 8.0), log_theta=st.floats(-6.0, 7.0),
@@ -375,7 +402,8 @@ def table_draw(spec, theta, n, gen):
     """n tilted draws that invert a piecewise-linear CDF read at the midpoints
     of a 4096-cell grid on [0, 10 max(tilted mean, 1)]: a biased sampler,
     kept here to show that the tests below reject it."""
-    grid = 10.0 * max(spec.tilted_mean(theta), 1.0) * (np.arange(4096) + 0.5) / 4096
+    top = 10.0 * max(spec.tilted_moments(theta)[0], 1.0)
+    grid = top * (np.arange(4096) + 0.5) / 4096
     logd = spec.log_pdf(grid) + theta * grid
     cdf = np.cumsum(np.exp(logd - logd.max()))
     target = gen.random(n) * cdf[-1]
@@ -391,7 +419,6 @@ class TestTiltedDraws:
         spec, theta = case
         z = tilted_draws(spec, theta)
         mean, var = spec.tilted_moments(theta)
-        assert (mean, var) == (spec.tilted_mean(theta), spec.tilted_var(theta))
         n = len(z)
         dev = z - z.mean()
         assert abs(z.mean() - mean) <= 4 * math.sqrt(var / n)
@@ -423,7 +450,7 @@ class TestTiltedDraws:
         h = 1e-3 * theta
         second = (spec.log_mgf(theta + h) - 2 * spec.log_mgf(theta)
                   + spec.log_mgf(theta - h)) / (h * h)
-        assert spec.tilted_var(theta) == pytest.approx(second, rel=1e-5)
+        assert spec.tilted_moments(theta)[1] == pytest.approx(second, rel=1e-5)
 
     def test_zero_tilt_draws_the_law_itself(self):
         spec = FadingSpec(kind="weibull_super", c=1.0, gamma=2.0)
@@ -431,9 +458,9 @@ class TestTiltedDraws:
         z = spec.sample_tilted(np.broadcast_to(theta, (50_000, 2, 2)), gen(8))
         assert z.shape == (50_000, 2, 2)
         untilted = z[:, theta == 0.0].ravel()
-        se = math.sqrt(spec.tilted_var(0.0) / len(untilted))
+        se = math.sqrt(spec.tilted_moments(0.0)[1] / len(untilted))
         assert abs(untilted.mean() - spec.mean()) <= 4 * se
-        assert spec.tilted_var(0.0) == pytest.approx(
+        assert spec.tilted_moments(0.0)[1] == pytest.approx(
             math.gamma(2.0) - math.gamma(1.5) ** 2, rel=1e-14)
 
     @pytest.mark.parametrize("spec, theta, kind", [
@@ -448,6 +475,14 @@ class TestTiltedDraws:
         assert diag["kind"] == kind and diag["rounds"] == 1
         assert diag["proposals"] == 1000 and 0 < diag["pending"] < 1000
         assert diag["theta_pending_max"] == theta
+
+    def test_weibull_draw_past_the_float_range_raises(self):
+        f = FadingSpec(kind="weibull_super", c=1.0, gamma=1.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CapExceededError, match="float range") as exc:
+                f.sample_tilted(np.array([1.0, 1e20]), gen(3))
+        assert exc.value.diagnostics["theta_max"] == 1e20
 
     def test_bounded_shape_below_one_is_refused(self):
         spec = FadingSpec(kind="bounded", bound=1.0, beta_a=0.5, beta_b=2.0)

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from ginibrenet.patterns import (PointPattern, RngStream, read_pattern_csv,
-                                 write_pattern_csv)
+from ginibrenet.patterns import (PointPattern, RngStream, pattern_csv_text,
+                                 read_pattern_csv)
 
 
 class TestRngStream:
@@ -32,7 +32,7 @@ class TestPatternCsv:
     def test_round_trip_bit_exact(self, tmp_path):
         pat = self._pattern()
         path = tmp_path / "pat.csv"
-        write_pattern_csv(pat, path)
+        path.write_text(pattern_csv_text(pat))
         back = read_pattern_csv(path)
         assert np.array_equal(back.points, pat.points)
         assert back.process_kind == pat.process_kind
@@ -45,7 +45,7 @@ class TestPatternCsv:
                            window_radius=1.0, process_kind="poisson",
                            beta=1.0, seed=0)
         path = tmp_path / "empty.csv"
-        write_pattern_csv(pat, path)
+        path.write_text(pattern_csv_text(pat))
         assert len(read_pattern_csv(path)) == 0
 
     def test_malformed_files_rejected(self, tmp_path):

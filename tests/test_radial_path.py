@@ -4,7 +4,8 @@ A receiver and a window both at the origin take the radial draw; every other
 geometry keeps the DPP sampler.  On a centred r = 2 window the two draws must
 give one law for what the estimators read from them: the interference under
 exponential fading, the in-window count and the count in the probe ball.
-The in-window counts are compared on shared uniforms, row by row.
+The in-window counts are compared on shared uniforms, row by row, and the
+probe-ball counts of each path with their exact law.
 """
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from ginibrenet.fading import FadingSpec
 from ginibrenet.interference import DiskWindow, NetworkModel, attenuation
 from ginibrenet.patterns import RngStream
 from ginibrenet.spectral import DiskRestriction, count_distribution
-from ginibrenet.goodness_of_fit import chisquare_vs_pmf, two_sample_count_chisquare
+from ginibrenet.goodness_of_fit import chisquare_vs_pmf
 
 # the radial draw costs ~1/50 of a DPP draw, so it gets ten times the reps
 RADIAL_REPS = 40_000
@@ -36,6 +37,15 @@ def model(beta=1.0, window=DiskWindow(radius=2.0), receiver=0j):
 def distances(make_draw, m, seed, n_reps):
     block = make_draw(m)(RngStream(seed).generator(), n_reps)
     return [row[np.isfinite(row)] for row in block]
+
+
+def exact_law_p(counts, radius, beta):
+    """Chi-square p-value of counts in b(0, radius) against their exact law,
+    that of the thinned Palm spectrum on that disk."""
+    counts = np.asarray(counts)
+    pmf = count_distribution(DiskRestriction(radius=radius, beta=beta, palm_shift=True),
+                             int(counts.max()) + 10)
+    return chisquare_vs_pmf(counts, pmf)
 
 
 def interference_sample(dists, m, seed):
@@ -75,20 +85,16 @@ def test_window_counts_agree(paths):
 
 
 def test_probe_ball_counts_agree(paths):
+    # the probe ball is centred, so both paths' counts in it have one exact law
     m, radial, dpp = paths
     r = dominating_event_probe(m, 1.0, 1.0, RngStream(0), n_reps=2).ball_radius
-    p = two_sample_count_chisquare(np.array([np.sum(d <= r) for d in radial]),
-                                   np.array([np.sum(d <= r) for d in dpp]))
-    assert p > LEVEL
+    for dists in (radial, dpp):
+        assert exact_law_p([np.sum(d <= r) for d in dists], r, m.beta) > LEVEL
 
 
 def test_radial_counts_follow_exact_law(paths):
     m, radial, _ = paths
-    counts = np.array([len(d) for d in radial])
-    pmf = count_distribution(DiskRestriction(radius=2.0, beta=m.beta,
-                                             palm_shift=True),
-                             int(counts.max()) + 10)
-    assert chisquare_vs_pmf(counts, pmf) > LEVEL
+    assert exact_law_p([len(d) for d in radial], m.window.radius, m.beta) > LEVEL
 
 
 @pytest.mark.parametrize("geometry, dpp_calls", [

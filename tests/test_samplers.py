@@ -18,9 +18,8 @@ from ginibrenet import samplers, validate
 from ginibrenet.errors import SamplerStallError
 from ginibrenet.goodness_of_fit import chisquare_vs_pmf
 from ginibrenet.patterns import RngStream
-from ginibrenet.samplers import (KOSTLAN_BALLS, KOSTLAN_ORDERS,
-                                 kostlan_validation, sample_block,
-                                 sample_counts, sample_pattern, sample_poisson)
+from ginibrenet.samplers import (sample_block, sample_counts, sample_pattern,
+                                 sample_poisson)
 from ginibrenet.spectral import (DiskRestriction, count_distribution, eigenvalues,
                                  pair_correlation, trace_bound)
 
@@ -368,7 +367,7 @@ class TestKostlan:
         for radius in (4.0, 6.0):
             n_terms = len(eigenvalues(DiskRestriction(radius=radius)))
             ts = np.array([1e-3, 0.1, 0.5, 1.0, 2.5, 5.0, 10.0, radius ** 2])
-            cdf1, cdf2 = (samplers._order_cdf(ts, i, n_terms) for i in (1, 2))
+            cdf1, cdf2 = (validate._order_cdf(ts, i, n_terms) for i in (1, 2))
             for t, f1, f2 in zip(ts, cdf1, cdf2):
                 pmf = count_distribution(DiskRestriction(radius=math.sqrt(t)), 1)
                 assert f1 == pytest.approx(1.0 - pmf[0], abs=1e-11)
@@ -377,32 +376,19 @@ class TestKostlan:
             prod = np.prod(special.gammaincc(np.arange(1, 200)[:, None], ts), axis=0)
             assert np.allclose(cdf1, 1.0 - prod, rtol=0, atol=1e-11)
 
-    def test_balls_must_lie_inside_the_disk(self):
-        with pytest.raises(ValueError, match="inside"):
-            kostlan_validation(5.0, 10, RngStream(0))  # b(3, 2.5) leaves b(0, 5)
-
-    def test_report_shape(self):
-        # one KS statistic and p-value per tested order, (1, 2), and one
-        # p-value per ball
-        assert KOSTLAN_ORDERS == (1, 2)
-        rep = kostlan_validation(6.0, 200, RngStream(50))
-        assert len(rep.ks_statistics) == len(rep.p_values) == 2
-        assert len(rep.ball_p_values) == len(KOSTLAN_BALLS)
-        assert all(0.0 <= p <= 1.0 for p in rep.p_values + rep.ball_p_values)
-
     def test_angle_mutant_fails_check_kostlan(self, monkeypatch):
         # the right moduli with independent uniform angles pass every
         # rotation-invariant statistic; the off-centre balls catch them
-        draw = samplers.sample_block
+        draw = validate.sample_block
         gen = np.random.default_rng(7)
 
         def spun(restriction, rng, n):
             return [np.abs(pts) * np.exp(2j * np.pi * gen.random(len(pts)))
                     for pts in draw(restriction, rng, n)]
 
-        monkeypatch.setattr(samplers, "sample_block", spun)
+        monkeypatch.setattr(validate, "sample_block", spun)
         res = validate.check_kostlan(quick=True)
         assert not res.passed
-        assert KOSTLAN_BALLS == ((3.0, 2.5), (4.0, 1.5))
+        assert validate.KOSTLAN_BALLS == ((3.0, 2.5), (4.0, 1.5))
         assert "ball b(3, 2.5): p=0.0000" in res.detail
         assert "ball b(4, 1.5): p=0.0000" in res.detail
