@@ -5,11 +5,11 @@ Monte Carlo estimators."""
 
 from .errors import CapExceededError, MgfDivergenceError, SamplerStallError
 from .fading import FADING_KINDS, FadingSpec
-from .interference import DiskWindow, NetworkModel, attenuation
+from .interference import NetworkModel, attenuation
 from .patterns import PointPattern, RngStream, read_pattern_csv
 from .rates import (LdpRegime, ProofConstants, growth_function,
-                    poisson_comparison, proof_constants, rate, speed,
-                    tail_asymptote, weibull_rate_constant)
+                    limit_constant, poisson_comparison, proof_constants, rate,
+                    speed, tail_asymptote, weibull_rate_constant)
 from .samplers import (sample_block, sample_counts, sample_pattern,
                        sample_poisson)
 from .spectral import (DiskRestriction, count_distribution, eigenvalues,

@@ -19,7 +19,7 @@ from .errors import CapExceededError, SamplerStallError
 from .estimation import fit_slope, grid_estimates
 from .fading import FADING_KINDS, FadingSpec
 from .patterns import RngStream, pattern_csv_text
-from .rates import (LdpRegime, growth_function, poisson_comparison, rate,
+from .rates import (LdpRegime, limit_constant, poisson_comparison, rate,
                     speed, tail_asymptote)
 from .samplers import sample_pattern, sample_poisson
 from .spectral import DiskRestriction
@@ -215,8 +215,7 @@ def cmd_rates(args) -> int:
         for eps in args.eps:
             lines.append(f"{eps:12.6g} {speed(regime, eps):16.8g}")
         if args.compare_poisson:
-            ginibre_const = tail_asymptote(regime, 2.0) / growth_function(regime, 2.0)
-            lines.append(f"Ginibre limit constant:  {ginibre_const:16.8g}")
+            lines.append(f"Ginibre limit constant:  {limit_constant(regime):16.8g}")
             lines.append(f"Poisson limit constant:  {poisson_comparison(regime):16.8g}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,8 @@
 Format: one ``key = value`` per line under ``[section]`` headers.  Sections:
 
 * ``process``      -- kind (palm_beta_ginibre, the only value: estimation
-                      always uses the reduced Palm process), beta, radius
+                      always uses the reduced Palm process), beta, and
+                      radius, that of the window b(0, radius) of interferers
 * ``receiver``     -- x, y coordinates of the receiver
 * ``attenuation``  -- R, alpha
 * ``fading``       -- kind plus ``FadingSpec`` parameters (bound, beta_a,
@@ -28,7 +29,7 @@ from pathlib import Path
 
 from .estimation import ESTIMATORS
 from .fading import FADING_KINDS, FadingSpec
-from .interference import DiskWindow, NetworkModel
+from .interference import NetworkModel
 from .rates import LdpRegime
 
 
@@ -161,7 +162,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
     try:
         model = NetworkModel(
             beta=beta,
-            window=DiskWindow(center=0j, radius=radius),
+            radius=radius,
             receiver=receiver,
             atten_R=rd.get_float("attenuation", "R"),
             atten_alpha=rd.get_float("attenuation", "alpha"),

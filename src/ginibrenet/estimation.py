@@ -19,12 +19,13 @@ Estimator variants for P(I_Lambda >= x):
 
 One loop, ``_replicate``, runs the replications of every estimator here, in
 blocks of _BLOCK.  A block is one array of the distances from the receiver to
-the in-window interferers, a row per replication, padded with inf where a
-replication has fewer interferers than the widest row; attenuation(inf) is
-exactly 0, so padding is an interferer of zero gain.  Receiver and window both
-at the origin take the Kostlan radial draw, which fills the block from one
-array of uniforms; any other geometry takes one DPP projection-sampler pattern
-per row.  An evaluator then maps the block, in numpy, to a column or a matrix:
+the interferers in the window b(0, r), a row per replication, padded with inf
+where a replication has fewer interferers than the widest row;
+attenuation(inf) is exactly 0, so padding is an interferer of zero gain.  A
+receiver at the origin takes the Kostlan radial draw, which fills the block
+from one array of uniforms; an off-centre receiver takes one DPP
+projection-sampler pattern per row.  An evaluator then maps the block, in
+numpy, to a column or a matrix:
 
 * ``_crude`` and ``_tilted`` -- a tail indicator or weight per row at level x;
 * ``_single_jump`` -- a row of values per replication over a level grid: a
@@ -47,7 +48,8 @@ from .errors import CapExceededError
 from .fading import FadingSpec, LIGHT_TAIL_KINDS, SUBEXPONENTIAL_KINDS
 from .interference import NetworkModel, _row_sum, attenuation
 from .patterns import RngStream
-from .rates import LdpRegime, growth_function, proof_constants, tail_asymptote
+from .rates import (LdpRegime, growth_function, limit_constant, proof_constants,
+                    tail_asymptote)
 from .samplers import sample_block
 from .spectral import DiskRestriction, eigenvalues, trace_bound
 
@@ -101,7 +103,7 @@ def _finalize(values: np.ndarray, estimator: str,
 
 
 def _radial_draw(model: NetworkModel):
-    """Distance draw for a window and a receiver both at the origin.
+    """Distance draw for a receiver at the origin.
 
     By Kostlan's theorem the squared moduli of the reduced-Palm beta-Ginibre
     points are independent beta G_m, G_m ~ Gamma(m + 1, 1), m >= 1, each kept
@@ -114,8 +116,7 @@ def _radial_draw(model: NetworkModel):
     the terms none of its rows holds.
     """
     beta = model.beta
-    restriction = DiskRestriction(radius=model.window.radius, beta=beta,
-                                  palm_shift=True)
+    restriction = DiskRestriction(radius=model.radius, beta=beta, palm_shift=True)
     present = eigenvalues(restriction)
     rsq = restriction.scaled_radius_sq
     shapes = np.arange(2.0, len(present) + 2.0)
@@ -131,18 +132,15 @@ def _radial_draw(model: NetworkModel):
 
 
 def _dpp_draw(model: NetworkModel):
-    """Distance draw for any other geometry: per row, a reduced-Palm pattern
-    from the projection sampler on the origin-centred disk that covers the
-    window."""
-    restriction = DiskRestriction(
-        radius=abs(model.window.center) + model.window.radius, beta=model.beta,
-        palm_shift=True)
+    """Distance draw for an off-centre receiver: per row, a reduced-Palm
+    pattern from the projection sampler on the window itself."""
+    restriction = DiskRestriction(radius=model.radius, beta=model.beta, palm_shift=True)
 
     def draw(gen: np.random.Generator, n: int) -> np.ndarray:
         # one fresh RngStream per block, on a 63-bit child seed drawn from
         # the running stream
         child = RngStream(int(gen.integers(1 << 63)), 0)
-        rows = [np.abs(model.receiver - pts[model.window.contains(pts)])
+        rows = [np.abs(model.receiver - pts)
                 for pts in sample_block(restriction, child, n)]
         dist = np.full((n, max(map(len, rows))), np.inf)
         for out, row in zip(dist, rows):
@@ -156,8 +154,7 @@ def _distance_draw(model: NetworkModel):
     inside the window: the only thing I_Lambda and the probe's ball counts
     depend on.  Called once per loop; returns draw(gen, n), an (n, width)
     array padded with inf."""
-    centred = model.window.center == 0 and model.receiver == 0
-    return (_radial_draw if centred else _dpp_draw)(model)
+    return (_radial_draw if model.receiver == 0 else _dpp_draw)(model)
 
 
 def _pattern_tilt(fading: FadingSpec, gains: np.ndarray, x: float) -> np.ndarray:
@@ -421,7 +418,7 @@ def fit_slope(regime: LdpRegime, x_grid, probabilities) -> SlopeReport:
             f"slope regression needs at least 3 estimable grid points, "
             f"got {len(kept_x)} (dropped {dropped})")
     slope, _ = np.polyfit(gvals, log_p, 1)
-    target = tail_asymptote(regime, kept_x[-1]) / growth_function(regime, kept_x[-1])
+    target = limit_constant(regime)
     rel = abs(slope - target) / abs(target)
     predicted = [tail_asymptote(regime, x) for x in kept_x]
     return SlopeReport(x_grid=kept_x, log_p=log_p, predicted=predicted,
@@ -444,23 +441,18 @@ def subexp_sum_ratio(model: NetworkModel, x_grid, n_reps: int,
 
     p-hat is the single-jump estimate with unit gains, every grid point on
     the same replications.  The single-big-jump principle predicts the ratio
-    tends to 1.  E[N] comes from the exact Palm trace for origin-centered
-    windows and from the empirical mean otherwise.
+    tends to 1.  E[N] is the exact Palm trace of the window.
     """
     if model.fading.kind not in SUBEXPONENTIAL_KINDS:
         raise ValueError("subexp_sum_ratio requires a subexponential fading kind")
     x_grid = [float(v) for v in x_grid]
     jump = _single_jump(model.fading, x_grid, lambda d: np.isfinite(d).astype(float))
-    rows = _replicate(model, n_reps, rng, lambda dist, gen: np.column_stack(
-        (np.isfinite(dist).sum(axis=1), jump(dist, gen))))
-    if abs(model.window.center) < 1e-12:
-        e_n = trace_bound(DiskRestriction(radius=model.window.radius,
-                                          beta=model.beta, palm_shift=True))
-    else:
-        e_n = float(np.mean(rows[:, 0]))
+    rows = _replicate(model, n_reps, rng, jump)
+    e_n = trace_bound(DiskRestriction(radius=model.radius, beta=model.beta,
+                                      palm_shift=True))
     if e_n <= 0:
         raise ValueError("expected in-window count is zero; empty window")
-    return [float(np.mean(rows[:, k + 1])) / (e_n * float(model.fading.survival(x)))
+    return [float(np.mean(rows[:, k])) / (e_n * float(model.fading.survival(x)))
             for k, x in enumerate(x_grid)]
 
 
@@ -483,8 +475,8 @@ def dominating_event_probe(model: NetworkModel, x: float, eps: float,
     The ball radius r is half the distance from the receiver to the window
     boundary, capped below the attenuation plateau R.
     """
-    gap = model.window.radius - abs(model.receiver - model.window.center)
-    if gap < 0.02 * model.window.radius:
+    gap = model.radius - abs(model.receiver)
+    if gap < 0.02 * model.radius:
         raise ValueError("receiver too close to the window boundary for the probe ball")
     r = min(0.5 * gap, 0.99 * model.atten_R)
     kind = model.fading.kind

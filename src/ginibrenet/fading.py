@@ -274,13 +274,23 @@ class FadingSpec:
         h(z) = g + k + theta z - c g z^g, which is concave with h(0) > 0, so
         Newton from a point right of the root decreases to it monotonically.
         k = 0 is the mode in s = log z of ``_weibull_tilt``'s integrand, and
-        k = -1 that of the tilted density in z.  Each entry stops on its own,
-        so its mode does not depend on its neighbours.  An entry whose start
-        or Newton step passes the float range reads +inf."""
+        k = -1 that of the tilted density in z.  Newton starts from the
+        smaller of two points right of the root:
+        max((2 theta / (c g))^(1/(g-1)), (2 (g + k) / (c g))^(1/g)), which
+        near g = 1 lies 2^(1/(g-1)) past it at large tilts, and z_0 = a s,
+        with a = (theta / (c g))^(1/(g-1)) and s^(g-1) = 1 + (g + k) / (theta a)
+        taken in logs, where h(z_0) = (g + k) (1 - s), which lies far past it
+        at small tilts.  Each entry stops on its own, so its mode does not
+        depend on its neighbours.  An entry whose start or Newton step passes
+        the float range reads +inf."""
         c, g = self.c, self.gamma
         with np.errstate(over="ignore", invalid="ignore"):
-            z = np.maximum((2.0 * theta / (c * g)) ** (1.0 / (g - 1.0)),
-                           (2.0 * (g + k) / (c * g)) ** (1.0 / g))
+            log_t = np.log(theta)
+            log_a = (log_t - math.log(c * g)) / (g - 1.0)
+            log_s = np.log1p((g + k) * np.exp(-log_t - log_a)) / (g - 1.0)
+            z = np.fmin(np.exp(log_a + log_s),
+                        np.maximum((2.0 * theta / (c * g)) ** (1.0 / (g - 1.0)),
+                                   (2.0 * (g + k) / (c * g)) ** (1.0 / g)))
             act = np.arange(len(theta))
             for _ in range(_MODE_STEPS):
                 th, za = theta[act], z[act]

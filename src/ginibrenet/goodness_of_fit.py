@@ -11,14 +11,14 @@ import numpy as np
 from scipy import special
 
 
-def _pool_bins(observed: np.ndarray, expected: np.ndarray, min_expected=5.0):
-    """Merge adjacent bins until every expected cell mass reaches the floor."""
+def _pool_bins(observed: np.ndarray, expected: np.ndarray):
+    """Merge adjacent bins until every expected cell mass reaches 5."""
     obs_out, exp_out = [], []
     o_acc = e_acc = 0.0
     for o, e in zip(observed, expected):
         o_acc += o
         e_acc += e
-        if e_acc >= min_expected:
+        if e_acc >= 5.0:
             obs_out.append(o_acc)
             exp_out.append(e_acc)
             o_acc = e_acc = 0.0
@@ -41,27 +41,6 @@ def chisquare_vs_pmf(counts: np.ndarray, pmf: np.ndarray) -> float:
     exp *= obs.sum() / exp.sum()
     statistic = float(np.sum((obs - exp) ** 2 / exp))
     return float(special.chdtrc(len(obs) - 1, statistic))
-
-
-def two_sample_count_chisquare(a: np.ndarray, b: np.ndarray) -> float:
-    """p-value of the Pearson chi-square of the 2 x c contingency table of two
-    integer samples, with Yates' correction when c = 2 (one degree of
-    freedom), as ``scipy.stats.chi2_contingency`` applies it."""
-    top = int(max(a.max(), b.max()))
-    ha = np.bincount(a, minlength=top + 1).astype(float)
-    hb = np.bincount(b, minlength=top + 1).astype(float)
-    # pool on the combined count, so every column holds at least 10
-    pooled_a, pooled = _pool_bins(ha, ha + hb, 10.0)
-    table = np.array([pooled_a, pooled - pooled_a])
-    if table.shape[1] < 2:
-        return 1.0
-    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
-    dof = table.shape[1] - 1
-    if dof == 1:  # Yates: move each cell up to 1/2 towards its expectation
-        diff = expected - table
-        table = table + np.sign(diff) * np.minimum(0.5, np.abs(diff))
-    statistic = float(np.sum((table - expected) ** 2 / expected))
-    return float(special.chdtrc(dof, statistic))
 
 
 def ks_vs_cdf(cdf_values: np.ndarray) -> tuple[float, float]:

@@ -9,31 +9,16 @@ from .fading import FadingSpec
 
 
 @dataclass(frozen=True)
-class DiskWindow:
-    """The region Lambda of interfering nodes (closed disk)."""
-
-    center: complex = 0j
-    radius: float = 1.0
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("window radius must be positive")
-
-    def contains(self, points) -> np.ndarray:
-        return np.abs(np.asarray(points, dtype=complex) - self.center) <= self.radius
-
-
-@dataclass(frozen=True)
 class NetworkModel:
     """Full scenario: node process, receiver geometry, attenuation and fading.
 
     The transmitter at the origin contributes only the useful signal; the
     interferers are the reduced Palm points of the node process inside the
-    window.
+    window b(0, radius).
     """
 
     beta: float
-    window: DiskWindow
+    radius: float
     receiver: complex
     atten_R: float
     atten_alpha: float
@@ -46,10 +31,10 @@ class NetworkModel:
             raise ValueError("attenuation distance R must be positive")
         if not self.atten_alpha > 2:
             raise ValueError("attenuation exponent alpha must exceed 2")
-        if abs(self.receiver - self.window.center) >= self.window.radius:
+        if not self.radius > 0:
+            raise ValueError("window radius must be positive")
+        if abs(self.receiver) >= self.radius:
             raise ValueError("receiver must lie in the interior of the window")
-        if abs(self.window.center) >= self.window.radius:
-            raise ValueError("the origin must lie in the interior of the window")
 
     @property
     def r_alpha(self) -> float:

@@ -114,23 +114,24 @@ def growth_function(regime: LdpRegime, x: float) -> float:
     return float(regime.fading.log_survival(x))
 
 
-def tail_asymptote(regime: LdpRegime, x: float) -> float:
-    """Predicted leading-order value of log P(I_Lambda >= x).
-
-    Returns the full expression (limit constant times growth function); the
-    limit constant itself is the ratio to growth_function.
-    """
-    if not x > 0:
-        raise ValueError("x must be positive")
+def limit_constant(regime: LdpRegime) -> float:
+    """The limit of log P(I_Lambda >= x) / growth_function(regime, x)."""
     f = regime.fading
     if regime.kind == "bounded":
-        return -0.5 * regime.r_alpha ** 2 / f.bound ** 2 * growth_function(regime, x)
+        return -0.5 * regime.r_alpha ** 2 / f.bound ** 2
     if regime.kind == "weibull_super":
-        return -weibull_rate_constant(f.c, f.gamma, regime.r_alpha) * growth_function(regime, x)
+        return -weibull_rate_constant(f.c, f.gamma, regime.r_alpha)
     if regime.kind == "exponential":
-        return -f.c * regime.r_alpha * x
-    g = regime.subexp_exponent
-    return regime.r_alpha ** g * float(f.log_survival(x))
+        return -f.c * regime.r_alpha
+    return regime.r_alpha ** regime.subexp_exponent
+
+
+def tail_asymptote(regime: LdpRegime, x: float) -> float:
+    """Predicted leading-order value of log P(I_Lambda >= x): the limit
+    constant times the growth function."""
+    if not x > 0:
+        raise ValueError("x must be positive")
+    return limit_constant(regime) * growth_function(regime, x)
 
 
 def poisson_comparison(regime: LdpRegime) -> float:

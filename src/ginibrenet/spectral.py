@@ -174,13 +174,11 @@ def _log_chernoff(model: "NetworkModel", x: float,
                   thetas: np.ndarray) -> np.ndarray:
     """log of the Chernoff bound on P(I_Lambda >= x), per mark tilt.
 
-    Uses the enclosing disk b(O, Rtilde) around the origin, its thinned
-    eigenvalue sequence, and -theta x + sum_m log(1 + (M - 1) kappa_m), with
-    M the fading MGF at theta * R^(-alpha).
+    Uses the window b(0, r), its thinned eigenvalue sequence, and
+    -theta x + sum_m log(1 + (M - 1) kappa_m), with M the fading MGF at
+    theta * R^(-alpha).
     """
-    r_enclose = abs(model.window.center) + model.window.radius
-    restriction = DiskRestriction(radius=r_enclose, beta=model.beta, palm_shift=False)
-    vals = eigenvalues(restriction)
+    vals = eigenvalues(DiskRestriction(radius=model.radius, beta=model.beta))
     log_m = model.fading.log_mgf(thetas * model.atten_R ** (-model.atten_alpha))
     with np.errstate(divide="ignore"):
         log_terms = np.logaddexp(np.log1p(-vals), np.log(vals) + log_m[:, None])

@@ -17,9 +17,8 @@ from .errors import CapExceededError, MgfDivergenceError
 from .estimation import (dominating_event_probe, estimate_interference_tail,
                          speed_regression, subexp_sum_ratio)
 from .fading import FadingSpec
-from .goodness_of_fit import (chisquare_vs_pmf, ks_vs_cdf,
-                              two_sample_count_chisquare)
-from .interference import DiskWindow, NetworkModel
+from .goodness_of_fit import chisquare_vs_pmf, ks_vs_cdf
+from .interference import NetworkModel
 from .patterns import RngStream
 from .rates import (LdpRegime, poisson_comparison, rate, speed,
                     weibull_rate_constant)
@@ -31,11 +30,12 @@ from .spectral import (DiskRestriction, count_distribution, eigenvalues,
 
 # Every check draws on RngStream(MASTER_SEED, id); no two checks share a
 # seed sequence at either budget.  The ids, by check:
-#   count_law 100-103 (a block per case); palm_identity 200-205 (per beta:
-#   Palm block, thinned block, Gaussian points); kostlan 300 (a block, its
-#   patterns on the children (300, i)); variance_contrast 400 (a block);
-#   exponential_slope 1500, 2500, ... (grid point i on 500 + 1000 (i + 1));
-#   subexp_ratio 600; chernoff_dominance 700-702; lower_bound_ordering 800-817.
+#   count_law 100-103 (a block per case); palm_identity 200, 202, 203, 205
+#   (beta i: Palm block 200 + 3 i, Gaussian points 202 + 3 i); kostlan 300
+#   (a block, its patterns on the children (300, i)); variance_contrast 400
+#   (a block); exponential_slope 1500, 2500, ... (grid point i on
+#   500 + 1000 (i + 1)); subexp_ratio 600; chernoff_dominance 700-702;
+#   lower_bound_ordering 800-817.
 MASTER_SEED = 20240901
 # check_kostlan: the order statistics it tests, its off-centre balls
 # b(c, rho), and the radius of its Ginibre disk, which holds every ball
@@ -99,27 +99,28 @@ def check_count_law(quick: bool = False) -> CheckResult:
 
 def check_palm_identity(quick: bool = False) -> CheckResult:
     """Palm sample plus an independent scaled Gaussian point (kept w.p. beta)
-    has the same count law as the thinned-scaled process.
+    has the count law of the thinned-scaled process, which is exactly
+    ``count_distribution(DiskRestriction(radius, beta))``.
 
-    Both window counts are active-set sizes, so this gates the spectral
-    Bernoulli step of the Palm and thinned spectra; point placement is gated
-    by ``check_kostlan`` and the sampler tests."""
+    The Palm window count is an active-set size, so this gates the spectral
+    Bernoulli step of the Palm spectrum; point placement is gated by
+    ``check_kostlan`` and the sampler tests."""
     t0 = time.perf_counter()
     n_reps = 2000 if quick else 10_000
     radius = 1.5
     stream = RngStream(MASTER_SEED, 200)
     details, ok = [], True
     for bi, beta in enumerate((0.25, 1.0)):
-        palm_counts = sample_counts(
+        counts = sample_counts(
             DiskRestriction(radius=radius, beta=beta, palm_shift=True),
             stream.substream(3 * bi), n_reps)
-        thin_counts = sample_counts(DiskRestriction(radius=radius, beta=beta),
-                                    stream.substream(3 * bi + 1), n_reps)
         gauss_gen = stream.substream(3 * bi + 2).generator()
         kept = gauss_gen.random(n_reps) < beta
         g = gauss_gen.normal(scale=math.sqrt(0.5), size=(n_reps, 2))
-        palm_counts += kept & (math.sqrt(beta) * np.hypot(*g.T) <= radius)
-        p = two_sample_count_chisquare(palm_counts, thin_counts)
+        counts += kept & (math.sqrt(beta) * np.hypot(*g.T) <= radius)
+        pmf = count_distribution(DiskRestriction(radius=radius, beta=beta),
+                                 int(counts.max()) + 10)
+        p = chisquare_vs_pmf(counts, pmf)
         details.append(f"beta={beta}: p={p:.4f}")
         ok &= p > 0.01
     return _result("palm_identity", ok, "; ".join(details), t0)
@@ -219,16 +220,17 @@ def check_count_tail_trend(quick: bool = False) -> CheckResult:
                    f"Ginibre/Poisson log-tail factor at m=20: {factor:.2f}", t0)
 
 
-def _exponential_model() -> NetworkModel:
-    return NetworkModel(beta=1.0, window=DiskWindow(radius=2.0), receiver=0j,
-                        atten_R=1.0, atten_alpha=4.0,
-                        fading=FadingSpec(kind="exponential", c=1.0))
+def _model(fading: FadingSpec) -> NetworkModel:
+    """The estimator checks' model: beta = 1, window b(0, 2), receiver at the
+    origin, R = 1, alpha = 4."""
+    return NetworkModel(beta=1.0, radius=2.0, receiver=0j, atten_R=1.0,
+                        atten_alpha=4.0, fading=fading)
 
 
 def check_exponential_slope(quick: bool = False) -> CheckResult:
     """Tilted-estimator slope regression against the -c R^alpha limit."""
     t0 = time.perf_counter()
-    model = _exponential_model()
+    model = _model(FadingSpec(kind="exponential", c=1.0))
     regime = LdpRegime(model.fading, model.atten_R, model.atten_alpha)
     if quick:
         x_grid, n_reps = [7.0, 9.0, 11.0, 13.0], 3000
@@ -246,9 +248,7 @@ def check_exponential_slope(quick: bool = False) -> CheckResult:
 def check_subexp_ratio(quick: bool = False) -> CheckResult:
     """Pareto sum-tail over E[N] Fbar(x) at a deep grid point is near 1."""
     t0 = time.perf_counter()
-    model = NetworkModel(beta=1.0, window=DiskWindow(radius=2.0), receiver=0j,
-                         atten_R=1.0, atten_alpha=4.0,
-                         fading=FadingSpec(kind="pareto", c=2.0))
+    model = _model(FadingSpec(kind="pareto", c=2.0))
     n_reps = 4000 if quick else 20_000
     x_grid = [30.0, 60.0, 99.0]
     ratios = subexp_sum_ratio(model, x_grid, n_reps, RngStream(MASTER_SEED, 600))
@@ -262,9 +262,7 @@ def check_subexp_ratio(quick: bool = False) -> CheckResult:
 def check_chernoff_dominance(quick: bool = False) -> CheckResult:
     """Minimized spectral Chernoff bound dominates the crude estimate."""
     t0 = time.perf_counter()
-    model = NetworkModel(beta=1.0, window=DiskWindow(radius=2.0), receiver=0j,
-                         atten_R=1.0, atten_alpha=4.0,
-                         fading=FadingSpec(kind="weibull_super", c=1.0, gamma=2.0))
+    model = _model(FadingSpec(kind="weibull_super", c=1.0, gamma=2.0))
     n_reps = 5000 if quick else 20_000
     stream = RngStream(MASTER_SEED, 700)
     details, ok = [], True
@@ -318,12 +316,11 @@ def check_lower_bound_ordering(quick: bool = False) -> CheckResult:
     t0 = time.perf_counter()
     n_reps = 4000 if quick else 20_000
     stream = RngStream(MASTER_SEED, 800)
-    bounded_model = NetworkModel(
-        beta=1.0, window=DiskWindow(radius=2.0), receiver=0j,
-        atten_R=1.0, atten_alpha=4.0, fading=FadingSpec(kind="bounded", bound=1.0))
     grids = {
-        "exponential": (_exponential_model(), (1.0, 1.5, 2.0), (0.7, 1.0, 1.4)),
-        "bounded": (bounded_model, (0.6, 0.9, 1.2), (0.8, 1.0, 1.3)),
+        "exponential": (_model(FadingSpec(kind="exponential", c=1.0)),
+                        (1.0, 1.5, 2.0), (0.7, 1.0, 1.4)),
+        "bounded": (_model(FadingSpec(kind="bounded", bound=1.0)),
+                    (0.6, 0.9, 1.2), (0.8, 1.0, 1.3)),
     }
     details, ok = [], True
     idx = 0

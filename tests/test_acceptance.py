@@ -36,8 +36,24 @@ def test_02_count_law_oracle():
 
 
 def test_03_palm_identity():
-    # palm + Gaussian point w.p. beta vs thinned-scaled process; < 3 min
+    # palm + Gaussian point w.p. beta vs the thinned-scaled count law; < 3 min
     _run(validate.check_palm_identity, 180.0)
+
+
+def test_palm_identity_fails_on_the_non_palm_spectrum(monkeypatch):
+    # counts drawn from the non-Palm spectrum keep its m = 0 eigenvalue, so
+    # with the Gaussian point added they hold that term twice: the test
+    # against the exact law must see it
+    from ginibrenet.spectral import DiskRestriction
+    real = validate.sample_counts
+
+    def non_palm(restriction, rng, n):
+        return real(DiskRestriction(radius=restriction.radius, beta=restriction.beta),
+                    rng, n)
+
+    monkeypatch.setattr(validate, "sample_counts", non_palm)
+    res = validate.check_palm_identity(quick=True)
+    assert not res.passed, res.detail
 
 
 def test_04_kostlan_check():
@@ -143,10 +159,10 @@ def test_no_two_checks_share_a_stream(seeds_by_check):
 
 
 def test_count_checks_build_one_generator_per_block(seeds_by_check):
-    # count_law: a block per case (4); palm_identity: per beta, a Palm block,
-    # a thinned block and the Gaussian points (6); variance_contrast: 1
+    # count_law: a block per case (4); palm_identity: per beta, a Palm block
+    # and the Gaussian points (4); variance_contrast: 1
     sizes = {name: len(seeds_by_check[name])
              for name in ("count_law", "palm_identity", "variance_contrast")}
-    assert sizes == {"count_law": 4, "palm_identity": 6, "variance_contrast": 1}
+    assert sizes == {"count_law": 4, "palm_identity": 4, "variance_contrast": 1}
     # kostlan: the block's active sets, then one per pattern with points
     assert len(seeds_by_check["kostlan"]) <= 1000 + 1

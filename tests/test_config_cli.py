@@ -45,7 +45,7 @@ class TestConfig:
         p.write_text(GOOD_CONFIG)
         cfg = load_config(p)
         assert cfg.model.fading.kind == "exponential"
-        assert cfg.model.window.radius == 2.0
+        assert cfg.model.radius == 2.0
         assert cfg.plan.x_grid == [3.0, 4.0, 5.0]
         assert cfg.plan.seed == 7
         assert cfg.regime.kind == "exponential"

@@ -16,7 +16,7 @@ from ginibrenet.estimation import (TILT_DOUBLINGS, TailEstimate, _jump_values,
                                    estimate_interference_tail,
                                    speed_regression, subexp_sum_ratio)
 from ginibrenet.fading import FadingSpec
-from ginibrenet.interference import DiskWindow, NetworkModel, _row_sum
+from ginibrenet.interference import NetworkModel, _row_sum
 from ginibrenet.patterns import RngStream
 from ginibrenet.rates import LdpRegime
 from ginibrenet.samplers import sample_block
@@ -24,7 +24,7 @@ from ginibrenet.spectral import DiskRestriction, log_count_tail, trace_bound
 
 
 def model(kind="exponential", receiver=0j, **fkw):
-    return NetworkModel(beta=1.0, window=DiskWindow(radius=2.0), receiver=receiver,
+    return NetworkModel(beta=1.0, radius=2.0, receiver=receiver,
                         atten_R=1.0, atten_alpha=4.0,
                         fading=FadingSpec(kind=kind, **fkw))
 
@@ -354,7 +354,7 @@ class TestSubexpRatio:
         # subexp_sum_ratio's p-hat.  At sum Z >= 8 two marks often pass x / 2:
         # an estimator that splits on one mark beyond x / 2 counts those
         # patterns twice and lands 4.8 combined stderrs above crude here
-        m = NetworkModel(beta=1.0, window=DiskWindow(radius=2.0), receiver=0j,
+        m = NetworkModel(beta=1.0, radius=2.0, receiver=0j,
                          atten_R=2.0, atten_alpha=4.0,
                          fading=FadingSpec(kind="pareto", c=2.0))
         e_n = trace_bound(DiskRestriction(radius=2.0, palm_shift=True))
@@ -393,7 +393,7 @@ class TestSingleJumpEvaluator:
 
 class TestDominatingEventProbe:
     def test_receiver_near_boundary_rejected(self):
-        m = NetworkModel(beta=1.0, window=DiskWindow(radius=2.0),
+        m = NetworkModel(beta=1.0, radius=2.0,
                          receiver=1.999 + 0j, atten_R=1.0, atten_alpha=4.0,
                          fading=FadingSpec(kind="exponential", c=1.0))
         with pytest.raises(ValueError, match="boundary"):

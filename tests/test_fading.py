@@ -270,6 +270,18 @@ class TestMgf:
         for got, want in ((f.log_mgf(theta), log_m), (got_mean, mean), (got_var, var)):
             assert got == pytest.approx(want, rel=1e-13)
 
+    def test_weibull_log_mgf_where_the_mode_is_1e277(self):
+        # gamma = 1.01: the mode search's start (2 theta / gamma)^100 lies 2^100
+        # past the mode 2.4e277, so it must not be the start here.  The log
+        # MGF at theta = 600 from mpmath at 100 digits, as WEIBULL_NEAR_ONE's
+        # (130 digits agree to all 80 shown)
+        f = FadingSpec(kind="weibull_super", c=1.0, gamma=1.01)
+        want = float("1.4348864574134591265868973911455648160465236199741396676307111719851648902317137e+278")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f.log_mgf(600.0)
+        assert got == pytest.approx(want, rel=1e-13)
+
     @pytest.mark.parametrize("gamma, inside, past", [
         (1.05, (1.0, 1e5), 1e20),  # the mode search's start overflows
         (8.0, (1.0, 1e200), 1e280),  # the mode is a float, (g - 1) theta z_m is not

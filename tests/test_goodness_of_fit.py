@@ -2,12 +2,9 @@
 package itself never imports."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import stats
 
-from ginibrenet.goodness_of_fit import (chisquare_vs_pmf, ks_vs_cdf,
-                                        two_sample_count_chisquare)
+from ginibrenet.goodness_of_fit import chisquare_vs_pmf, ks_vs_cdf
 
 
 @pytest.mark.parametrize("n", [1000, 5000])
@@ -34,22 +31,6 @@ def test_ks_matches_scipy_one_sample(seed):
     d, p = ks_vs_cdf(stats.expon.cdf(x))
     assert d == pytest.approx(ref.statistic, rel=1e-12)
     assert p == pytest.approx(ref.pvalue, rel=1e-10)
-
-
-@settings(max_examples=80, deadline=None)
-@given(table=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)),
-                      min_size=2, max_size=8))
-def test_two_sample_matches_chi2_contingency(table):
-    # 5 more in every cell keeps each column at 10 or more, so no bins pool
-    table = np.array(table).T + 5
-    a = np.repeat(np.arange(table.shape[1]), table[0])
-    b = np.repeat(np.arange(table.shape[1]), table[1])
-    assert two_sample_count_chisquare(a, b) == pytest.approx(
-        stats.chi2_contingency(table)[1], rel=1e-9, abs=1e-300)
-
-
-def test_two_sample_one_column_is_uninformative():
-    assert two_sample_count_chisquare(np.zeros(5, int), np.ones(4, int)) == 1.0
 
 
 @pytest.mark.parametrize("seed", range(5))

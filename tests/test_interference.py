@@ -1,15 +1,14 @@
-"""The interference window, the network model and the attenuation."""
+"""The network model and the attenuation."""
 import numpy as np
 import pytest
 
 from ginibrenet.fading import FadingSpec
-from ginibrenet.interference import DiskWindow, NetworkModel, attenuation
+from ginibrenet.interference import NetworkModel, attenuation
 
 
 def model(receiver=0j, radius=2.0, R=1.0, alpha=4.0):
-    return NetworkModel(beta=1.0, window=DiskWindow(radius=radius),
-                        receiver=receiver, atten_R=R, atten_alpha=alpha,
-                        fading=FadingSpec(kind="exponential", c=1.0))
+    return NetworkModel(beta=1.0, radius=radius, receiver=receiver, atten_R=R,
+                        atten_alpha=alpha, fading=FadingSpec(kind="exponential", c=1.0))
 
 
 class TestAttenuation:
@@ -30,24 +29,11 @@ class TestAttenuation:
             attenuation(0j, 1.0, 2.0)
 
 
-class TestDiskWindow:
-    def test_contains_is_the_closed_disk(self):
-        # an off-centre window, so the centre is subtracted; these points lie
-        # exactly on its circle
-        w = DiskWindow(center=0.5 + 0j, radius=1.5)
-        assert w.contains([2.0 + 0j, -1.0 + 0j, 0.5 + 1.5j, 0.5 - 1.5j]).all()
-        assert w.contains([0.5 + 0j, 1.0 + 1.0j]).all()
-        just_outside = [complex(np.nextafter(2.0, 3.0), 0.0),
-                        complex(np.nextafter(-1.0, -2.0), 0.0),
-                        complex(0.5, np.nextafter(1.5, 2.0))]
-        assert not w.contains(just_outside).any()
-
+class TestModelValidation:
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError, match="radius"):
-            DiskWindow(radius=0.0)
+            model(radius=0.0)
 
-
-class TestModelValidation:
     def test_receiver_must_be_interior(self):
         with pytest.raises(ValueError, match="receiver"):
             model(receiver=2.0 + 0j)

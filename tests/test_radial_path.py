@@ -1,9 +1,9 @@
 """Two-path gate: the Kostlan radial draw against the DPP projection sampler.
 
-A receiver and a window both at the origin take the radial draw; every other
-geometry keeps the DPP sampler.  On a centred r = 2 window the two draws must
-give one law for what the estimators read from them: the interference under
-exponential fading, the in-window count and the count in the probe ball.
+A receiver at the origin takes the radial draw; an off-centre receiver keeps
+the DPP sampler.  On the window b(0, 2) the two draws must give one law for
+what the estimators read from them: the interference under exponential
+fading, the in-window count and the count in the probe ball.
 The in-window counts are compared on shared uniforms, row by row, and the
 probe-ball counts of each path with their exact law.
 """
@@ -16,7 +16,7 @@ from ginibrenet.estimation import (_dpp_draw, _radial_draw,
                                    dominating_event_probe,
                                    estimate_interference_tail)
 from ginibrenet.fading import FadingSpec
-from ginibrenet.interference import DiskWindow, NetworkModel, attenuation
+from ginibrenet.interference import NetworkModel, attenuation
 from ginibrenet.patterns import RngStream
 from ginibrenet.spectral import DiskRestriction, count_distribution
 from ginibrenet.goodness_of_fit import chisquare_vs_pmf
@@ -28,8 +28,8 @@ RADIAL_SEED, DPP_SEED = 9101, 9102
 LEVEL = 0.01
 
 
-def model(beta=1.0, window=DiskWindow(radius=2.0), receiver=0j):
-    return NetworkModel(beta=beta, window=window, receiver=receiver,
+def model(beta=1.0, receiver=0j):
+    return NetworkModel(beta=beta, radius=2.0, receiver=receiver,
                         atten_R=1.0, atten_alpha=4.0,
                         fading=FadingSpec(kind="exponential", c=1.0))
 
@@ -94,13 +94,12 @@ def test_probe_ball_counts_agree(paths):
 
 def test_radial_counts_follow_exact_law(paths):
     m, radial, _ = paths
-    assert exact_law_p([len(d) for d in radial], m.window.radius, m.beta) > LEVEL
+    assert exact_law_p([len(d) for d in radial], m.radius, m.beta) > LEVEL
 
 
 @pytest.mark.parametrize("geometry, dpp_calls", [
     ({}, 0),
     ({"receiver": 0.5 + 0.2j}, 20),
-    ({"window": DiskWindow(center=0.3 - 0.1j, radius=2.0)}, 20),
 ])
 def test_only_centred_geometry_skips_the_dpp_sampler(monkeypatch, geometry,
                                                      dpp_calls):

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ginibrenet.fading import FadingSpec
-from ginibrenet.rates import (LdpRegime, growth_function, poisson_comparison,
-                              proof_constants, rate, speed, tail_asymptote,
-                              weibull_rate_constant)
+from ginibrenet.rates import (LdpRegime, growth_function, limit_constant,
+                              poisson_comparison, proof_constants, rate, speed,
+                              tail_asymptote, weibull_rate_constant)
 
 
 def regime(kind, **kw):
@@ -100,14 +100,25 @@ class TestSpeedValues:
 class TestAsymptotes:
     def test_constant_is_rate_family_coefficient(self):
         r = regime("exponential", c=2.0, atten_R=1.5, atten_alpha=3.0)
-        x = 5.0
-        const = tail_asymptote(r, x) / growth_function(r, x)
-        assert const == pytest.approx(-2.0 * 1.5 ** 3, rel=1e-12)
+        assert limit_constant(r) == pytest.approx(-2.0 * 1.5 ** 3, rel=1e-12)
 
     def test_bounded_constant(self):
         r = regime("bounded", bound=2.0, atten_R=1.0, atten_alpha=4.0)
-        const = tail_asymptote(r, 3.0) / growth_function(r, 3.0)
-        assert const == pytest.approx(-0.5 / 4.0, rel=1e-12)
+        assert limit_constant(r) == pytest.approx(-0.5 / 4.0, rel=1e-12)
+
+    @pytest.mark.parametrize("r", [
+        regime("bounded", bound=2.0, atten_R=1.2),
+        regime("weibull_super", c=1.5, gamma=2.5, atten_R=0.8),
+        regime("exponential", c=2.0, atten_R=1.5),
+        regime("weibull_sub", c=1.0, gamma=0.5, atten_R=1.3),
+        regime("pareto", c=2.0, atten_R=1.3),
+    ], ids=lambda r: r.fading.kind)
+    def test_constant_is_the_asymptote_over_the_growth(self, r):
+        # the slope fit and ``rates --compare-poisson`` read the constant
+        # where they once took this ratio at one x
+        for x in (1.5, 4.0, 30.0):
+            assert tail_asymptote(r, x) / growth_function(r, x) == \
+                pytest.approx(limit_constant(r), rel=1e-15)
 
     def test_subexp_tracks_log_survival(self):
         r = regime("pareto", c=2.0)
