@@ -23,9 +23,10 @@ the interferers in the window b(0, r), a row per replication, padded with inf
 where a replication has fewer interferers than the widest row;
 attenuation(inf) is exactly 0, so padding is an interferer of zero gain.  A
 receiver at the origin takes the Kostlan radial draw, which fills the block
-from one array of uniforms; an off-centre receiver takes one DPP
-projection-sampler pattern per row.  An evaluator then maps the block, in
-numpy, to a column or a matrix:
+from one array of presence uniforms and one Gamma variate per present term,
+inverting the incomplete gamma only past the window edge; an off-centre
+receiver takes one DPP projection-sampler pattern per row.  An evaluator then
+maps the block, in numpy, to a column or a matrix:
 
 * ``_crude`` and ``_tilted`` -- a tail indicator or weight per row at level x;
 * ``_single_jump`` -- a row of values per replication over a level grid: a
@@ -110,10 +111,15 @@ def _radial_draw(model: NetworkModel):
     with probability beta and cut at the window radius r.  Term m is thus in
     the window with probability p_m = beta P(G_m <= r^2 / beta): the thinned
     Palm spectrum, which the DPP sampler and the exact count law read too.
-    One uniform u_m per term decides both: the term is present iff u_m < p_m,
-    and then G_m is the inverse Gamma CDF at u_m / beta, uniform on
-    (0, p_m / beta), capped at r^2 / beta against rounding.  The block drops
-    the terms none of its rows holds.
+    One (n, L) array of uniforms decides presence: term m is present iff
+    u_m < p_m.  Each present term then draws G_m ~ Gamma(m + 1, 1), in
+    row-major order; only a draw past the cut r^2 / beta is replaced by the
+    inverse Gamma CDF at u_m / beta, uniform on (0, kappa_m) with
+    kappa_m = p_m / beta, capped at r^2 / beta against rounding.  The mixture
+    is the truncated law: for A inside the cut, P(G_m in A) =
+    F(A) + (1 - kappa_m) F(A) / kappa_m = F(A) / kappa_m.  At r = 2 and
+    beta = 1 about a third of the present terms need the inversion.  The block
+    drops the terms none of its rows holds.
     """
     beta = model.beta
     restriction = DiskRestriction(radius=model.radius, beta=beta, palm_shift=True)
@@ -124,7 +130,10 @@ def _radial_draw(model: NetworkModel):
     def draw(gen: np.random.Generator, n: int) -> np.ndarray:
         u = gen.random((n, len(present)))
         on = u < present
-        g = special.gammaincinv(np.broadcast_to(shapes, on.shape)[on], u[on] / beta)
+        shape = np.broadcast_to(shapes, on.shape)[on]
+        g = gen.standard_gamma(shape)
+        past = np.flatnonzero(g > rsq)
+        g[past] = special.gammaincinv(shape[past], u[on][past] / beta)
         dist = np.full(on.shape, np.inf)
         dist[on] = np.sqrt(beta * np.minimum(g, rsq))
         return dist[:, on.any(axis=0)]

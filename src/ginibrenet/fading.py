@@ -234,7 +234,9 @@ class FadingSpec:
         z_m (1 + m), m the weighted average of y, and the variance the
         weighted average of z_m^2 (y - m)^2, so a narrow law loses no digits
         to cancellation.  A tilt whose mode or curvature (g - 1) theta z_m
-        passes the float range gets +inf for all three.
+        passes the float range gets +inf for all three, and one whose variance
+        alone passes it (about z_m / ((g - 1) theta) near g = 1) gets +inf
+        for the variance.
         """
         c, g = self.c, self.gamma
         log_mgf, mean, var = (np.full(len(theta), np.inf) for _ in range(3))
@@ -266,7 +268,8 @@ class FadingSpec:
             log_mgf[sl] = (math.log(c * g) + g * np.log(z) + (g - 1.0) * czg[:, 0] - g
                            + np.log(scale * total))
             mean[sl] = z * (1.0 + shift)
-            var[sl] = (z * scale) ** 2 * (w * dev * dev).sum(axis=1) / total
+            with np.errstate(over="ignore"):  # a variance past the float range
+                var[sl] = (z * scale) ** 2 * (w * dev * dev).sum(axis=1) / total
         return log_mgf, mean, var
 
     def _weibull_mode(self, theta: np.ndarray, k: float = 0.0) -> np.ndarray:
@@ -275,20 +278,27 @@ class FadingSpec:
         Newton from a point right of the root decreases to it monotonically.
         k = 0 is the mode in s = log z of ``_weibull_tilt``'s integrand, and
         k = -1 that of the tilted density in z.  Newton starts from the
-        smaller of two points right of the root:
+        smallest of three points right of the root:
         max((2 theta / (c g))^(1/(g-1)), (2 (g + k) / (c g))^(1/g)), which
-        near g = 1 lies 2^(1/(g-1)) past it at large tilts, and z_0 = a s,
+        near g = 1 lies 2^(1/(g-1)) past it at large tilts; z_0 = a s,
         with a = (theta / (c g))^(1/(g-1)) and s^(g-1) = 1 + (g + k) / (theta a)
         taken in logs, where h(z_0) = (g + k) (1 - s), which lies far past it
-        at small tilts.  Each entry stops on its own, so its mode does not
-        depend on its neighbours.  An entry whose start or Newton step passes
-        the float range reads +inf."""
+        at small tilts; and, for theta < c g, z_1 = max(1, (g + k) / (c g - theta)),
+        where z^g >= z gives h(z_1) <= 0, which near g = 1 lies hundreds of
+        decades nearer than the other two.  An entry stops once its step falls
+        below 1e-13 of z or turns negative: from the right the exact steps are
+        positive, so a negative one means rounding put h(z) at or past 0.  Near
+        g = 1, where theta z and c g z^g cancel, that noise is about
+        eps z / (g - 1), above the 1e-13 stop.  Each entry stops on its own, so
+        its mode does not depend on its neighbours.  An entry whose start or
+        Newton step passes the float range reads +inf."""
         c, g = self.c, self.gamma
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             log_t = np.log(theta)
             log_a = (log_t - math.log(c * g)) / (g - 1.0)
             log_s = np.log1p((g + k) * np.exp(-log_t - log_a)) / (g - 1.0)
-            z = np.fmin(np.exp(log_a + log_s),
+            z_1 = np.where(theta < c * g, np.maximum(1.0, (g + k) / (c * g - theta)), np.inf)
+            z = np.fmin(np.fmin(np.exp(log_a + log_s), z_1),
                         np.maximum((2.0 * theta / (c * g)) ** (1.0 / (g - 1.0)),
                                    (2.0 * (g + k) / (c * g)) ** (1.0 / g)))
             act = np.arange(len(theta))
@@ -297,7 +307,7 @@ class FadingSpec:
                 step = (g + k + th * za - c * g * za ** g) / (th - c * g * g * za ** (g - 1.0))
                 z[act] = za = za - step
                 # an overflow makes the step nan, which stops the entry
-                moving = np.abs(step) > 1e-13 * za
+                moving = step > 1e-13 * za
                 act, step, za = act[moving], step[moving], za[moving]
                 if len(act) == 0:
                     z[~np.isfinite(z)] = np.inf

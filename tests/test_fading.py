@@ -282,6 +282,29 @@ class TestMgf:
             got = f.log_mgf(600.0)
         assert got == pytest.approx(want, rel=1e-13)
 
+    @pytest.mark.parametrize("c", [1.0, 2.0])
+    def test_weibull_mode_search_at_gamma_1_001(self, c):
+        # below theta = c g the old start (2 theta / (c g))^1000 lay hundreds
+        # of decades right of the mode, beyond 100 Newton steps; above it the
+        # steps stalled in rounding noise of about eps z / (g - 1), over the
+        # 1e-13 stop; and the variance passed the float range with an
+        # overflow warning (c = 1, theta = 2.03)
+        f = FadingSpec(kind="weibull_super", c=c, gamma=1.001)
+        thetas = np.arange(0.05, 3.0, 0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_m = f.log_mgf(thetas)
+            mean, var = f.tilted_moments(thetas)
+            modes = [f._weibull_mode(thetas, k) for k in (0.0, -1.0)]
+        finite = np.isfinite(log_m)
+        assert finite[thetas < c * f.gamma].all()
+        assert np.all(np.diff(log_m[finite]) > 0) and np.all(np.diff(mean[finite]) > 0)
+        assert np.all(var[finite] > 0)
+        for k, z in zip((0.0, -1.0), modes):
+            on = np.isfinite(z)
+            h = f.gamma + k + thetas[on] * z[on] - c * f.gamma * z[on] ** f.gamma
+            assert np.all(np.abs(h) <= 1e-15 * (thetas[on] * z[on] + f.gamma))
+
     @pytest.mark.parametrize("gamma, inside, past", [
         (1.05, (1.0, 1e5), 1e20),  # the mode search's start overflows
         (8.0, (1.0, 1e200), 1e280),  # the mode is a float, (g - 1) theta z_m is not
