@@ -164,7 +164,7 @@ def cmd_estimate(args) -> int:
                                    cfg.plan.estimator, RngStream(cfg.plan.seed))
         for x, est in zip(cfg.plan.x_grid, estimates):
             # the weight diagnostics of a tilted estimate; blank for the others
-            rows.append({"x": x, "eps": 1.0, "estimator": est.estimator,
+            rows.append({"x": x, "estimator": est.estimator,
                          "p": est.probability, "stderr": est.stderr,
                          "ci_lo": est.ci95[0], "ci_hi": est.ci95[1],
                          "n_reps": est.n_reps, "seed": cfg.plan.seed,
@@ -178,9 +178,9 @@ def cmd_estimate(args) -> int:
         code = 1
     # partial outputs are preserved on failure
     with est_path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["x", "eps", "estimator", "p",
-                                                "stderr", "ci_lo", "ci_hi",
-                                                "n_reps", "seed", *_WEIGHT_COLUMNS])
+        writer = csv.DictWriter(fh, fieldnames=["x", "estimator", "p", "stderr",
+                                                "ci_lo", "ci_hi", "n_reps",
+                                                "seed", *_WEIGHT_COLUMNS])
         writer.writeheader()
         writer.writerows(rows)
     if report is not None:

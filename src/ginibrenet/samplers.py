@@ -3,9 +3,11 @@
 The Ginibre sampler follows the spectral recipe for determinantal processes:
 draw a Bernoulli(kappa_m) subset of eigenfunctions, then place that many
 points sequentially from the induced projection process.  Proposals come from
-the eigenfunction mixture (a truncated Gamma radius plus a uniform angle) and
-are accepted with the residual-kernel ratio after projecting out the feature
-vectors of the points already placed.
+the eigenfunction mixture (an index m, a squared radius from the Gamma(m + 1)
+law cut at the disk's edge, and a uniform angle) and are accepted with the
+residual-kernel ratio after projecting out the feature vectors of the points
+already placed.  The squared radius is a ``standard_gamma`` draw, replaced by
+the inverse of the truncated law's CDF only where it falls past the edge.
 
 Thinning acts on the spectrum: a beta < 1 draw takes its eigenfunctions from
 the beta-thinned spectrum (see ``spectral``) and shrinks the points by
@@ -52,13 +54,20 @@ class _Group:
 
     Each pattern draws its proposals in chunks of max(64, 4k) from its own
     generator, in the order of a lone draw: indices, radius uniforms, angle
-    uniforms, acceptance uniforms.  It featurizes them lazily, a window at a
-    time.  Each buffered proposal keeps its feature vector with the placed
-    points projected out, and its margin: residual norm minus u |phi|^2,
-    positive iff it is accepted.  Every acceptance updates both with one
-    product (modified Gram-Schmidt).  Placing points only lowers a margin, so
-    a proposal once rejected stays rejected; consumed slots hold -inf.
-    Finished patterns leave the group, so every step works on all its rows.
+    uniforms, acceptance uniforms, then one ``standard_gamma(m + 1)`` per
+    proposal.  A Gamma draw past the cut c = r^2 / beta is replaced by the
+    inversion of its radius uniform u on the truncated law, gammaincinv(m + 1,
+    u kappa_m) with kappa_m = gammainc(m + 1, c).  For A inside the cut this
+    gives F(A) + (1 - kappa_m) F(A) / kappa_m = F(A) / kappa_m, the truncated
+    Gamma law exactly.  The chunk holds m, the squared radius, the angle and
+    the acceptance uniform of each proposal.  It featurizes them lazily, a
+    window at a time.  Each buffered proposal keeps its feature vector with
+    the placed points projected out, and its margin: residual norm minus
+    u |phi|^2, positive iff it is accepted.  Every acceptance updates both
+    with one product (modified Gram-Schmidt).  Placing points only lowers a
+    margin, so a proposal once rejected stays rejected; consumed slots hold
+    -inf.  Finished patterns leave the group, so every step works on all its
+    rows.
     """
 
     _ROWS = ("members", "ks", "csize", "act", "trunc", "half_log_norm",
@@ -82,8 +91,7 @@ class _Group:
         # gammaln(0) = +inf zeroes the features
         self.trunc = special.gammainc(self.act + 1, restriction.scaled_radius_sq)
         self.half_log_norm = 0.5 * (special.gammaln(self.act + 1) + np.log(self.trunc))
-        # per proposal: m, gammaincinv argument (the radius once
-        # featurized), angle, acceptance uniform
+        # per proposal: m, squared radius, angle, acceptance uniform
         self.chunk = np.zeros((g, max(64, 4 * k), 4))
         self.cpos = self.csize.copy()  # next unfeaturized proposal of the chunk
         self.nchunks = np.zeros(g, dtype=np.int64)
@@ -94,7 +102,7 @@ class _Group:
         # conjugated orthonormal basis of the placed points' features
         self.bc = np.zeros((g, k, k), dtype=complex)
         self.placed = np.zeros(g, dtype=int)
-        self.pts = np.zeros((g, k, 2))  # radius and angle of the placed points
+        self.pts = np.zeros((g, k, 2))  # squared radius, angle of placed points
         self.last = np.zeros(g, dtype=int)  # chunk position of the last one
 
     def _draw_chunk(self, row: int) -> None:
@@ -115,9 +123,14 @@ class _Group:
         idx = gen.integers(k, size=chunk) if k > 1 else np.zeros(chunk, dtype=int)
         out = self.chunk[row, :chunk]
         out[:, 0] = self.act[row, idx]
-        out[:, 1] = gen.random(chunk) * self.trunc[row, idx]
+        arg = gen.random(chunk) * self.trunc[row, idx]
         out[:, 2] = gen.random(chunk) * 2.0 * math.pi
         out[:, 3] = gen.random(chunk)
+        cut = self.restriction.scaled_radius_sq
+        t = gen.standard_gamma(out[:, 0] + 1)
+        past = np.flatnonzero(t > cut)
+        t[past] = np.minimum(special.gammaincinv(out[past, 0] + 1, arg[past]), cut)
+        out[:, 1] = t
         self.cpos[row] = 0
         self.nchunks[row] += 1
 
@@ -140,9 +153,8 @@ class _Group:
         col = np.arange(width)
         # slots past a chunk's end repeat its last proposal and stay unused
         pos = self.cpos[sel, None] + np.minimum(col, count[:, None] - 1)
-        m, arg, angle, u = self.chunk[rows[:, None], pos].transpose(2, 0, 1)
+        t, angle, u = self.chunk[rows[:, None], pos, 1:].transpose(2, 0, 1)
         self.cpos[sel] += count
-        t = special.gammaincinv(m + 1, arg)
         r_pt = np.sqrt(t)
         # feature matrix with the Gaussian weight folded in; the common
         # pointwise factor cancels from every projection ratio.  The floor
@@ -168,7 +180,6 @@ class _Group:
         self.vec[sel, :width] = vec
         self.margin[sel, :width] = np.where(col < count[:, None],
                                             resid - u * norms_sq, -np.inf)
-        self.chunk[rows[:, None], pos, 1] = r_pt
         self.wpos[sel, :width] = pos
 
     def _accept(self, at: np.ndarray) -> None:
@@ -196,9 +207,9 @@ class _Group:
         scale = math.sqrt(self.restriction.beta)
         for row in np.flatnonzero(done):
             p, k = self.members[row], int(self.ks[row])
-            r_pt, angle = self.pts[row, :k].T
-            unit = np.array([complex(math.cos(a), math.sin(a)) for a in angle])
-            self.points[p] = r_pt * unit * scale
+            t, angle = self.pts[row, :k].T
+            r_pt = np.sqrt(t) * scale
+            self.points[p] = r_pt * np.cos(angle) + 1j * (r_pt * np.sin(angle))
             self.proposals[p] = ((self.nchunks[row] - 1) * self.csize[row]
                                  + self.last[row] + 1)
         if done.all():

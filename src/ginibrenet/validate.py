@@ -38,10 +38,12 @@ from .spectral import (DiskRestriction, count_distribution, eigenvalues,
 #   lower_bound_ordering 800-817.
 MASTER_SEED = 20240901
 # check_kostlan: the order statistics it tests, its off-centre balls
-# b(c, rho), and the radius of its Ginibre disk, which holds every ball
+# b(c, rho), and the radius of its Ginibre disk: the smallest centred disk
+# that holds every ball, so the check draws no point that none of its
+# statistics reads
 KOSTLAN_ORDERS = (1, 2)
 KOSTLAN_BALLS = ((3.0, 2.5), (4.0, 1.5))
-KOSTLAN_RADIUS = 6.0
+KOSTLAN_RADIUS = max(c + rho for c, rho in KOSTLAN_BALLS)
 
 
 @dataclass
@@ -135,7 +137,10 @@ def _order_cdf(t: np.ndarray, i: int, n_terms: int) -> np.ndarray:
 
 
 def check_kostlan(quick: bool = False) -> CheckResult:
-    """Exact-law checks of Ginibre patterns on b(0, KOSTLAN_RADIUS).
+    """Exact-law checks of Ginibre patterns on b(0, KOSTLAN_RADIUS), the
+    smallest centred disk that holds every ball of ``KOSTLAN_BALLS``.  The
+    Ginibre process on a larger disk, restricted to this one, has the same
+    law, so the patterns hold exactly the points the statistics read.
 
     * One-sample KS of the i-th smallest squared modulus, i in
       ``KOSTLAN_ORDERS``, against its exact Kostlan law (``_order_cdf``).

@@ -241,7 +241,7 @@ class TestCliEstimate:
         code = main(["estimate", "--config", str(cfg)])
         assert code == 0
         est = (tmp_path / "out" / "estimates.csv").read_text().splitlines()
-        assert est[0] == ("x,eps,estimator,p,stderr,ci_lo,ci_hi,n_reps,seed,"
+        assert est[0] == ("x,estimator,p,stderr,ci_lo,ci_hi,n_reps,seed,"
                           "ess,max_weight_share")
         assert len(est) == 4
         assert (tmp_path / "out" / "slope.csv").exists()

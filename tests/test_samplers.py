@@ -6,6 +6,7 @@ the fast structural guarantees close to the implementation.
 """
 import hashlib
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,7 @@ from scipy import integrate, special, stats
 
 from ginibrenet import samplers, validate
 from ginibrenet.errors import SamplerStallError
-from ginibrenet.goodness_of_fit import chisquare_vs_pmf
+from ginibrenet.goodness_of_fit import chisquare_vs_pmf, ks_vs_cdf
 from ginibrenet.patterns import RngStream
 from ginibrenet.samplers import (sample_block, sample_counts, sample_pattern,
                                  sample_poisson)
@@ -58,7 +59,7 @@ class TestDeterminism:
 # sha256 of the block draws: ``pattern_digest`` over the PINNED_CASES in
 # order, each a block of 20 patterns on RngStream(2024).  The "ginibre" case
 # and the non-Palm beta = 1 case draw the same restriction.
-PINNED_DIGEST = "dae68ab1e6f35af5fe80c2b464adcb854ebd8bae7ece71a1cbafa4b97ff4e934"
+PINNED_DIGEST = "f2374014cd078fc148f622134448318d161683a5419957f6786766b8e7b20107"
 PINNED_CASES = [(r, kind, beta) for r in (1.0, 2.5, 6.0)
                 for kind, beta in [("ginibre", 1.0)] + [(kind, beta)
                                                         for beta in (1.0, 0.5, 0.1)
@@ -244,6 +245,59 @@ class TestGeometry:
         assert proposals.sum() > 64 >= proposals.max()
 
 
+PROPOSAL_CHUNKS, PROPOSAL_SEED, LEVEL = 250, 9201, 0.01
+PROPOSAL_CASES = [(2.0, 1.0), (2.0, 0.25), (6.0, 1.0), (6.0, 0.25)]
+
+
+def proposal_laws(radius, beta):
+    """(fallback share 1 - kappa_m, KS p-value) per index m of one pattern
+    whose active set is the whole spectrum of the disk: the squared radii t
+    of its proposals, from PROPOSAL_CHUNKS calls of ``_Group._draw_chunk``
+    (about 4 PROPOSAL_CHUNKS per m), against the truncated law
+    gammainc(m + 1, t) / kappa_m, kappa_m = gammainc(m + 1, r^2 / beta)."""
+    restriction = DiskRestriction(radius=radius, beta=beta)
+    act = np.arange(len(eigenvalues(restriction)), dtype=float)
+    group = samplers._Group(restriction, {0: np.random.default_rng(PROPOSAL_SEED)},
+                            [act], np.array([0]), np.array([len(act)]), [None],
+                            np.zeros(1, dtype=np.int64))
+    draws = []
+    for _ in range(PROPOSAL_CHUNKS):
+        group._draw_chunk(0)
+        draws.append(group.chunk[0, :group.csize[0], :2].copy())
+    m, t = np.concatenate(draws).T
+    kappa = special.gammainc(act + 1, restriction.scaled_radius_sq)
+    p = [ks_vs_cdf(special.gammainc(a + 1, t[m == a]) / k)[1]
+         for a, k in zip(act, kappa)]
+    return 1.0 - kappa, np.array(p)
+
+
+class TestProposalRadii:
+    @pytest.mark.parametrize("radius, beta", PROPOSAL_CASES)
+    def test_proposal_radii_follow_truncated_gamma(self, radius, beta):
+        share, p = proposal_laws(radius, beta)
+        # the indices range from nearly always drawn by standard_gamma to
+        # nearly always by the inversion past the disk's edge
+        assert share.min() < 0.1 and share.max() > 0.9
+        assert p.min() * len(p) > LEVEL  # Bonferroni over the indices
+
+    @pytest.mark.parametrize("radius, beta", PROPOSAL_CASES)
+    @pytest.mark.parametrize("mutant", [
+        # every Gamma draw is kept, and the cap puts those past the cut on
+        # the edge
+        lambda a, q, cut: np.full(np.shape(a), np.inf),
+        # the inversion reads the radius uniform u, not u kappa_m
+        lambda a, q, cut: special.gammaincinv(a, q / special.gammainc(a, cut)),
+    ], ids=["no_cut", "unscaled_uniform"])
+    def test_broken_fallback_fails_proposal_laws(self, monkeypatch, radius, beta,
+                                                 mutant):
+        cut = DiskRestriction(radius=radius, beta=beta).scaled_radius_sq
+        monkeypatch.setattr(samplers, "special", SimpleNamespace(
+            gammainc=special.gammainc, gammaln=special.gammaln,
+            gammaincinv=lambda a, q: mutant(a, q, cut)))
+        _, p = proposal_laws(radius, beta)
+        assert p.min() * len(p) < 1e-6
+
+
 def block_counts(restriction, seed, n):
     """Point counts of a block of n draws on RngStream(seed)."""
     return np.array([len(pts) for pts in sample_block(restriction, RngStream(seed), n)])
@@ -363,8 +417,9 @@ class TestSubBallCountLaw:
 class TestKostlan:
     def test_order_cdf_matches_count_law(self):
         # F_i(t) = P(N(b(0, sqrt t)) >= i) for t in (0, r^2], and that count
-        # law is the exact Poisson-binomial pmf of the disk of radius sqrt t
-        for radius in (4.0, 6.0):
+        # law is the exact Poisson-binomial pmf of the disk of radius sqrt t;
+        # 5.5 is check_kostlan's disk
+        for radius in (4.0, 5.5, 6.0):
             n_terms = len(eigenvalues(DiskRestriction(radius=radius)))
             ts = np.array([1e-3, 0.1, 0.5, 1.0, 2.5, 5.0, 10.0, radius ** 2])
             cdf1, cdf2 = (validate._order_cdf(ts, i, n_terms) for i in (1, 2))
@@ -375,6 +430,13 @@ class TestKostlan:
             # i = 1 in closed form: P(N = 0) = prod_m gammaincc(m + 1, t)
             prod = np.prod(special.gammaincc(np.arange(1, 200)[:, None], ts), axis=0)
             assert np.allclose(cdf1, 1.0 - prod, rtol=0, atol=1e-11)
+
+    def test_disk_holds_every_ball(self):
+        # every ball lies in b(0, KOSTLAN_RADIUS), and the outermost one
+        # touches its edge, so the check draws no point it does not read
+        assert all(abs(c) + rho <= validate.KOSTLAN_RADIUS
+                   for c, rho in validate.KOSTLAN_BALLS)
+        assert validate.KOSTLAN_RADIUS == 5.5
 
     def test_angle_mutant_fails_check_kostlan(self, monkeypatch):
         # the right moduli with independent uniform angles pass every
