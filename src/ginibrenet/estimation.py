@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import CapExceededError
 from .fading import FadingSpec, LIGHT_TAIL_KINDS, SUBEXPONENTIAL_KINDS
@@ -51,7 +50,7 @@ from .interference import NetworkModel, _row_sum, attenuation
 from .patterns import RngStream
 from .rates import (LdpRegime, growth_function, limit_constant, proof_constants,
                     tail_asymptote)
-from .samplers import sample_block
+from .samplers import _cut_gamma, sample_block
 from .spectral import DiskRestriction, eigenvalues, trace_bound
 
 ESTIMATORS = ("crude", "tilted", "single_jump")
@@ -112,14 +111,12 @@ def _radial_draw(model: NetworkModel):
     the window with probability p_m = beta P(G_m <= r^2 / beta): the thinned
     Palm spectrum, which the DPP sampler and the exact count law read too.
     One (n, L) array of uniforms decides presence: term m is present iff
-    u_m < p_m.  Each present term then draws G_m ~ Gamma(m + 1, 1), in
-    row-major order; only a draw past the cut r^2 / beta is replaced by the
-    inverse Gamma CDF at u_m / beta, uniform on (0, kappa_m) with
-    kappa_m = p_m / beta, capped at r^2 / beta against rounding.  The mixture
-    is the truncated law: for A inside the cut, P(G_m in A) =
-    F(A) + (1 - kappa_m) F(A) / kappa_m = F(A) / kappa_m.  At r = 2 and
-    beta = 1 about a third of the present terms need the inversion.  The block
-    drops the terms none of its rows holds.
+    u_m < p_m.  The present terms then draw their G_m in row-major order
+    with ``samplers._cut_gamma``, cut at r^2 / beta; the inversion's uniform
+    is u_m / beta, which given presence is uniform on (0, kappa_m),
+    kappa_m = p_m / beta.  At r = 2 and beta = 1 about a third of the present
+    terms need the inversion.  The block drops the terms none of its rows
+    holds.
     """
     beta = model.beta
     restriction = DiskRestriction(radius=model.radius, beta=beta, palm_shift=True)
@@ -130,12 +127,9 @@ def _radial_draw(model: NetworkModel):
     def draw(gen: np.random.Generator, n: int) -> np.ndarray:
         u = gen.random((n, len(present)))
         on = u < present
-        shape = np.broadcast_to(shapes, on.shape)[on]
-        g = gen.standard_gamma(shape)
-        past = np.flatnonzero(g > rsq)
-        g[past] = special.gammaincinv(shape[past], u[on][past] / beta)
+        g = _cut_gamma(gen, np.broadcast_to(shapes, on.shape)[on], u[on] / beta, rsq)
         dist = np.full(on.shape, np.inf)
-        dist[on] = np.sqrt(beta * np.minimum(g, rsq))
+        dist[on] = np.sqrt(beta * g)
         return dist[:, on.any(axis=0)]
     return draw
 

@@ -48,7 +48,7 @@ def attenuation(x, R: float, alpha: float):
         raise ValueError("R must be positive")
     if not alpha > 2:
         raise ValueError("alpha must exceed 2")
-    d = np.abs(np.asarray(x, dtype=complex))
+    d = np.abs(np.asarray(x))
     out = np.maximum(R, d) ** (-alpha)
     return float(out) if out.ndim == 0 else out
 

@@ -4,24 +4,23 @@ The Ginibre sampler follows the spectral recipe for determinantal processes:
 draw a Bernoulli(kappa_m) subset of eigenfunctions, then place that many
 points sequentially from the induced projection process.  Proposals come from
 the eigenfunction mixture (an index m, a squared radius from the Gamma(m + 1)
-law cut at the disk's edge, and a uniform angle) and are accepted with the
-residual-kernel ratio after projecting out the feature vectors of the points
-already placed.  The squared radius is a ``standard_gamma`` draw, replaced by
-the inverse of the truncated law's CDF only where it falls past the edge.
+law cut at the disk's edge, drawn by ``_cut_gamma``, and a uniform angle) and
+are accepted with the residual-kernel ratio after projecting out the feature
+vectors of the points already placed.
 
 Thinning acts on the spectrum: a beta < 1 draw takes its eigenfunctions from
 the beta-thinned spectrum (see ``spectral``) and shrinks the points by
 sqrt(beta), so no point is placed and then discarded.
 
 Draws come in blocks: ``sample_block(restriction, rng, n)`` draws n patterns
-from one stream.  The n active sets are rows of uniforms from
-``rng.generator()``, and pattern i places its points from its own child
+from one stream.  The n active sets are the rows of one array of uniforms
+from ``rng.generator()``, and pattern i places its points from its own child
 generator (``RngStream.child_generator(i)``), built only if it has points.
 Groups of patterns, sorted by point count, advance one acceptance each per
 numpy step, each pattern reading its child generator in the order of a lone
 draw.  So pattern i depends on ``(rng, i)`` alone, not on n or on how the
-block is cut, and the single-pattern sampler ``sample_pattern`` is a block of
-one.
+patterns are grouped, and the single-pattern sampler ``sample_pattern`` is a
+block of one.
 
 A pattern's point count is the size of its active set, fixed before its first
 point is placed, so ``sample_counts(restriction, rng, n)`` returns the counts
@@ -38,12 +37,28 @@ from .errors import SamplerStallError
 from .patterns import PointPattern, RngStream
 from .spectral import DiskRestriction, eigenvalues
 
-STALL_CAP = 1_000_000  # proposals per point before giving up with diagnostics
-_BLOCK = 128  # patterns whose active sets and generators are live at once
+STALL_CAP = 1_000_000  # a pattern's proposals in all, past which it stalls with diagnostics
 _GROUP = 32  # patterns advanced together, sorted by point count
-_WINDOW = 16  # most proposals one pattern featurizes at a time
-_AHEAD = 3  # window size in expected proposals per acceptance
+_WINDOW = 16  # proposals one pattern featurizes at a time
 _TINY = 2.2250738585072014e-308  # smallest normal float
+
+
+def _cut_gamma(gen: np.random.Generator, shape: np.ndarray, v: np.ndarray,
+               cut: float) -> np.ndarray:
+    """Gamma(shape, 1) variates cut at ``cut``, one per entry of ``shape``.
+    Entry j of ``v`` is a uniform on (0, kappa_j), independent of the Gamma
+    draws, with kappa_j = gammainc(shape_j, cut) the mass inside the cut.
+
+    Each entry takes one ``gen.standard_gamma`` draw, in order; a draw past
+    the cut is replaced by the inversion gammaincinv(shape_j, v_j), capped at
+    the cut against rounding.  The mixture is the truncated law exactly: for
+    A inside the cut, with F the Gamma law, P(G in A) = F(A) + (1 - kappa)
+    F(A) / kappa = F(A) / kappa.  This is the squared modulus of Kostlan's
+    m-th radial term (shape m + 1) on a disk of squared radius ``cut``."""
+    g = gen.standard_gamma(shape)
+    past = np.flatnonzero(g > cut)
+    g[past] = np.minimum(special.gammaincinv(shape[past], v[past]), cut)
+    return g
 
 
 class _Group:
@@ -54,33 +69,30 @@ class _Group:
 
     Each pattern draws its proposals in chunks of max(64, 4k) from its own
     generator, in the order of a lone draw: indices, radius uniforms, angle
-    uniforms, acceptance uniforms, then one ``standard_gamma(m + 1)`` per
-    proposal.  A Gamma draw past the cut c = r^2 / beta is replaced by the
-    inversion of its radius uniform u on the truncated law, gammaincinv(m + 1,
-    u kappa_m) with kappa_m = gammainc(m + 1, c).  For A inside the cut this
-    gives F(A) + (1 - kappa_m) F(A) / kappa_m = F(A) / kappa_m, the truncated
-    Gamma law exactly.  The chunk holds m, the squared radius, the angle and
-    the acceptance uniform of each proposal.  It featurizes them lazily, a
-    window at a time.  Each buffered proposal keeps its feature vector with
-    the placed points projected out, and its margin: residual norm minus
-    u |phi|^2, positive iff it is accepted.  Every acceptance updates both
-    with one product (modified Gram-Schmidt).  Placing points only lowers a
-    margin, so a proposal once rejected stays rejected; consumed slots hold
-    -inf.  Finished patterns leave the group, so every step works on all its
-    rows.
+    uniforms, acceptance uniforms, then the squared radii from
+    ``_cut_gamma``, one ``standard_gamma(m + 1)`` draw per proposal, cut at
+    c = r^2 / beta with the radius uniform u kappa_m.  The chunk holds m, the
+    squared radius, the angle and the acceptance uniform of each proposal.
+    It featurizes them ``_WINDOW`` at a time.  Each buffered proposal keeps
+    its feature vector with the placed points projected out, and its margin:
+    residual norm minus u |phi|^2, positive iff it is accepted.  Every
+    acceptance updates both with one product (modified Gram-Schmidt).
+    Placing points only lowers a margin, so a proposal once rejected stays
+    rejected, and the first positive margin in chunk order is the lone
+    draw's acceptance whatever the window; consumed slots hold -inf.
+    Finished patterns leave the group, so every step works on all its rows.
     """
 
     _ROWS = ("members", "ks", "csize", "act", "trunc", "half_log_norm",
-             "chunk", "cpos", "nchunks", "vec", "margin", "wpos", "bc",
+             "chunk", "cpos", "nchunks", "vec", "margin", "wstart", "bc",
              "placed", "pts", "last")
 
     def __init__(self, restriction: DiskRestriction, gens: dict, actives: list,
                  members: np.ndarray, ks: np.ndarray, points: list,
                  proposals: np.ndarray):
         self.restriction, self.gens = restriction, gens
-        self.members = members.copy()  # compacted in place as rows finish
+        self.members, self.ks = members, ks
         self.points, self.proposals = points, proposals
-        self.ks = ks
         g, k = len(members), int(ks[-1])  # members are sorted by k
         self.csize = np.maximum(64, 4 * self.ks)
         self.act = np.full((g, k), -1.0)  # the active m, -1 in the padding
@@ -97,8 +109,7 @@ class _Group:
         self.nchunks = np.zeros(g, dtype=np.int64)
         self.vec = np.zeros((g, _WINDOW, k), dtype=complex)
         self.margin = np.full((g, _WINDOW), -np.inf)
-        self.wpos = np.zeros((g, _WINDOW), dtype=int)  # chunk position
-        self.width = 0  # window slots any row has used
+        self.wstart = np.zeros(g, dtype=int)  # chunk position of window slot 0
         # conjugated orthonormal basis of the placed points' features
         self.bc = np.zeros((g, k, k), dtype=complex)
         self.placed = np.zeros(g, dtype=int)
@@ -123,14 +134,10 @@ class _Group:
         idx = gen.integers(k, size=chunk) if k > 1 else np.zeros(chunk, dtype=int)
         out = self.chunk[row, :chunk]
         out[:, 0] = self.act[row, idx]
-        arg = gen.random(chunk) * self.trunc[row, idx]
+        v = gen.random(chunk) * self.trunc[row, idx]
         out[:, 2] = gen.random(chunk) * 2.0 * math.pi
         out[:, 3] = gen.random(chunk)
-        cut = self.restriction.scaled_radius_sq
-        t = gen.standard_gamma(out[:, 0] + 1)
-        past = np.flatnonzero(t > cut)
-        t[past] = np.minimum(special.gammaincinv(out[past, 0] + 1, arg[past]), cut)
-        out[:, 1] = t
+        out[:, 1] = _cut_gamma(gen, out[:, 0] + 1, v, self.restriction.scaled_radius_sq)
         self.cpos[row] = 0
         self.nchunks[row] += 1
 
@@ -141,16 +148,9 @@ class _Group:
             self._draw_chunk(row)
         # basic slicing where every row refills, as a lone pattern always does
         sel = slice(None) if len(rows) == len(self.ks) else rows
-        k, n = self.ks[sel], self.placed[sel]
-        width = _AHEAD * float((k / (k - n)).max())
-        if width * len(rows) < _WINDOW:
-            # few rows refill: up to _WINDOW proposals in all, but no more
-            # than _AHEAD per point of a pattern
-            width = max(width, min(_WINDOW / len(rows), _AHEAD * int(k.max())))
-        width = min(math.ceil(width), _WINDOW)
-        self.width = max(self.width, width)
-        count = np.minimum(width, self.csize[sel] - self.cpos[sel])
-        col = np.arange(width)
+        count = np.minimum(_WINDOW, self.csize[sel] - self.cpos[sel])
+        col = np.arange(_WINDOW)
+        self.wstart[sel] = self.cpos[sel]
         # slots past a chunk's end repeat its last proposal and stay unused
         pos = self.cpos[sel, None] + np.minimum(col, count[:, None] - 1)
         t, angle, u = self.chunk[rows[:, None], pos, 1:].transpose(2, 0, 1)
@@ -168,19 +168,16 @@ class _Group:
         vec *= np.exp(mag, out=mag)
         norms_sq = _sq_norms(vec)
         resid = norms_sq
-        n_max = int(n.max())
+        n_max = int(self.placed[sel].max())
         if n_max:
             bc = self.bc[sel, :n_max]
             coef = vec @ bc.transpose(0, 2, 1)
             resid = norms_sq - _sq_norms(coef)
             proj = np.conjugate(coef, out=coef) @ bc
             vec -= np.conjugate(proj, out=proj)
-        # a null feature vector has a null residual, so it is never accepted;
-        # slots past the new window keep their old, non-positive margins
-        self.vec[sel, :width] = vec
-        self.margin[sel, :width] = np.where(col < count[:, None],
-                                            resid - u * norms_sq, -np.inf)
-        self.wpos[sel, :width] = pos
+        # a null feature vector has a null residual, so it is never accepted
+        self.vec[sel] = vec
+        self.margin[sel] = np.where(col < count[:, None], resid - u * norms_sq, -np.inf)
 
     def _accept(self, at: np.ndarray) -> None:
         """Place, in every row, the proposal at window slot ``at``."""
@@ -194,13 +191,12 @@ class _Group:
         b = vec / norm[:, None]
         b_conj = b.conj()
         self.bc[rows, self.placed] = b_conj
-        self.last = self.wpos[rows, at]
+        self.last = self.wstart + at
         self.pts[rows, self.placed] = self.chunk[rows, self.last, 1:3]
         self.placed += 1
-        win = self.vec[:, :self.width]
-        coef = (win @ b_conj[:, :, None])[..., 0]
-        win -= coef[..., None] * b[:, None, :]
-        self.margin[:, :self.width] -= np.abs(coef) ** 2
+        coef = (self.vec @ b_conj[:, :, None])[..., 0]
+        self.vec -= coef[..., None] * b[:, None, :]
+        self.margin -= np.abs(coef) ** 2
 
     def _finish(self, done: np.ndarray) -> None:
         """Write out the patterns of the ``done`` rows and drop those rows."""
@@ -212,17 +208,9 @@ class _Group:
             self.points[p] = r_pt * np.cos(angle) + 1j * (r_pt * np.sin(angle))
             self.proposals[p] = ((self.nchunks[row] - 1) * self.csize[row]
                                  + self.last[row] + 1)
-        if done.all():
-            self.ks = self.ks[:0]
-            return
-        # move the rows that go on from the tail into the holes, in place, so
-        # no array is copied whole
         keep = np.flatnonzero(~done)
-        holes, tail = np.flatnonzero(done[:len(keep)]), keep[keep >= len(keep)]
         for name in self._ROWS:
-            arr = getattr(self, name)
-            arr[holes] = arr[tail]
-            setattr(self, name, arr[:len(keep)])
+            setattr(self, name, getattr(self, name)[keep])
 
     def run(self) -> None:
         while len(self.ks):
@@ -247,16 +235,13 @@ def _sq_norms(z: np.ndarray) -> np.ndarray:
 def _active_sets(restriction: DiskRestriction, rng: RngStream, n: int):
     """The eigenfunctions the n patterns of ``rng`` place: m is in pattern
     i's set with probability kappa_m, independently, decided by row i of an
-    (n, len(kappa)) array of uniforms from ``rng.generator()``.  Yields
-    (first pattern, boolean rows, the m of each column) for ``_BLOCK`` rows
-    at a time, which read the same floats as one draw of the whole array.  A
-    row's size is its pattern's point count."""
+    (n, len(kappa)) array of uniforms from ``rng.generator()``.  Returns the
+    boolean rows and the m of each column; a row's size is its pattern's
+    point count."""
     kappa = eigenvalues(restriction)
     shift = 1 if restriction.palm_shift else 0
-    ms = np.arange(shift, shift + len(kappa))
-    gen = rng.generator()
-    for start in range(0, n, _BLOCK):
-        yield start, gen.random((min(_BLOCK, n - start), len(kappa))) < kappa, ms
+    on = rng.generator().random((n, len(kappa))) < kappa
+    return on, np.arange(shift, shift + len(kappa))
 
 
 def _sample_projection_points(restriction: DiskRestriction, rng: RngStream,
@@ -269,15 +254,15 @@ def _sample_projection_points(restriction: DiskRestriction, rng: RngStream,
     depends on ``(rng, i)`` alone."""
     points = [np.empty(0, dtype=complex)] * n
     proposals = np.zeros(n, dtype=np.int64)
-    for start, on, ms in _active_sets(restriction, rng, n):
-        ks = on.sum(axis=1)
-        order = np.argsort(ks, kind="stable")
-        order = order[ks[order] > 0]
-        gens = {start + p: rng.child_generator(start + p) for p in order.tolist()}
-        for first in range(0, len(order), _GROUP):
-            rows = order[first:first + _GROUP]
-            _Group(restriction, gens, [ms[act] for act in on[rows]], start + rows,
-                   ks[rows], points, proposals).run()
+    on, ms = _active_sets(restriction, rng, n)
+    ks = on.sum(axis=1)
+    order = np.argsort(ks, kind="stable")
+    order = order[ks[order] > 0]
+    for first in range(0, len(order), _GROUP):
+        rows = order[first:first + _GROUP]
+        gens = {p: rng.child_generator(p) for p in rows.tolist()}
+        _Group(restriction, gens, [ms[act] for act in on[rows]], rows, ks[rows],
+               points, proposals).run()
     return points, proposals
 
 
@@ -294,10 +279,7 @@ def sample_counts(restriction: DiskRestriction, rng: RngStream,
     """The point counts of ``sample_block(restriction, rng, n)``, drawn
     without placing a point: a pattern's count is the size of its active
     set, which the block draws before any proposal."""
-    counts = np.zeros(n, dtype=int)
-    for start, on, _ in _active_sets(restriction, rng, n):
-        counts[start:start + len(on)] = on.sum(axis=1)
-    return counts
+    return _active_sets(restriction, rng, n)[0].sum(axis=1)
 
 
 def sample_pattern(restriction: DiskRestriction, rng: RngStream) -> PointPattern:

@@ -203,8 +203,8 @@ def check_variance_contrast(quick: bool = False) -> CheckResult:
 
 
 def check_count_tail_trend(quick: bool = False) -> CheckResult:
-    """-log P(N >= m) / (m^2 log m / 2) positive and monotone; Ginibre tail
-    far below the matched-mean Poisson tail."""
+    """-log P(N >= m) / (m^2 log m / 2) positive and rising toward its limit
+    1 from m = 10 on; Ginibre tail far below the matched-mean Poisson tail."""
     t0 = time.perf_counter()
     ms = (5, 10, 20, 40)
     restriction = DiskRestriction(radius=1.0)
@@ -213,13 +213,12 @@ def check_count_tail_trend(quick: bool = False) -> CheckResult:
     positive = all(0.0 < r < 1.0 for r in ratios)
     # the exact ratio dips between m=5 and m=10 before climbing toward the
     # limit 1; the trend assertion covers the asymptotic portion m >= 10
-    diffs = np.diff(ratios[1:])
-    monotone = bool(np.all(diffs > 0) or np.all(diffs < 0))
+    rising = bool(np.all(np.diff(ratios[1:]) > 0))
     mean = trace_bound(restriction)
     gin20 = -log_count_tail(restriction, 20)
     poi20 = -log_disk_eigenvalue(19, mean)  # -log P(Po(mean) >= 20)
     factor = gin20 / poi20
-    ok = positive and monotone and factor >= 5.0
+    ok = positive and rising and factor >= 5.0
     return _result("count_tail_trend", ok,
                    f"ratios {['%.4f' % r for r in ratios]}, "
                    f"Ginibre/Poisson log-tail factor at m=20: {factor:.2f}", t0)

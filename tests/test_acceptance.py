@@ -56,6 +56,17 @@ def test_palm_identity_fails_on_the_non_palm_spectrum(monkeypatch):
     assert not res.passed, res.detail
 
 
+def test_count_tail_trend_fails_on_a_falling_ratio(monkeypatch):
+    # scaling log P(N >= m) by 1 - m/100 makes the ratios 0.646 / 0.561 /
+    # 0.503 / 0.393: positive, below 1 and monotone, with the m = 20 factor
+    # still 6.96; only the fall from m = 10 on is wrong
+    real = validate.log_count_tail
+    monkeypatch.setattr(validate, "log_count_tail",
+                        lambda restriction, m: real(restriction, m) * (1 - m / 100))
+    res = validate.check_count_tail_trend(quick=True)
+    assert not res.passed, res.detail
+
+
 def test_04_kostlan_check():
     # KS p > 0.01 for the two smallest squared moduli at radius 6; < 2 min
     _run(validate.check_kostlan, 120.0)

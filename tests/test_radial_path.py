@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from ginibrenet import estimation
+from ginibrenet import estimation, samplers
 from ginibrenet.estimation import (_dpp_draw, _radial_draw,
                                    dominating_event_probe,
                                    estimate_interference_tail)
@@ -163,6 +163,6 @@ def no_cut(a, q):
     (0.25, no_cut),
 ], ids=["unscaled_uniform", "no_cut_beta1", "no_cut_beta0.25"])
 def test_broken_fallback_fails_term_laws(monkeypatch, beta, mutant):
-    monkeypatch.setattr(estimation, "special", SimpleNamespace(gammaincinv=mutant))
+    monkeypatch.setattr(samplers, "special", SimpleNamespace(gammaincinv=mutant))
     _, p = term_laws(beta)
     assert p.min() * len(p) < 1e-6

@@ -78,22 +78,23 @@ def pinned_restriction(r, kind, beta):
     return DiskRestriction(radius=r, beta=beta, palm_shift=kind == "palm")
 
 
-def block_draw(restriction, rng, n, group=None, block=None):
-    """``_sample_projection_points``, with ``_GROUP`` and ``_BLOCK`` set."""
+def block_draw(restriction, rng, n, group=None, window=None):
+    """``_sample_projection_points``, with ``_GROUP`` and ``_WINDOW`` set."""
     with mock.patch.multiple(samplers, _GROUP=group or samplers._GROUP,
-                             _BLOCK=block or samplers._BLOCK):
+                             _WINDOW=window or samplers._WINDOW):
         return samplers._sample_projection_points(restriction, rng, n)
 
 
 class TestPinnedOutput:
-    """Seeded block draws are pinned, and do not depend on how the block is cut."""
+    """Seeded block draws are pinned, and do not depend on how the patterns
+    are grouped."""
 
     def test_single_draws_match_the_pinned_digest(self):
-        # with _GROUP = _BLOCK = 1 each pattern is drawn alone
+        # with _GROUP = 1 each pattern is drawn alone
         patterns = []
         for case in PINNED_CASES:
             patterns += block_draw(pinned_restriction(*case), PINNED_STREAM,
-                                   PINNED_SIZE, group=1, block=1)[0]
+                                   PINNED_SIZE, group=1)[0]
         assert pattern_digest(patterns) == PINNED_DIGEST
 
     def test_block_draws_match_the_pinned_digest(self):
@@ -113,22 +114,35 @@ def assert_same_draws(a, b):
 
 restrictions = st.builds(DiskRestriction, radius=st.floats(0.5, 4.0),
                          beta=st.floats(0.05, 1.0), palm_shift=st.booleans())
-block_sizes = st.integers(1, max(2 * samplers._GROUP, samplers._BLOCK) + 9)
+block_sizes = st.integers(1, 2 * samplers._GROUP + 9)
 seeds = st.integers(0, 2 ** 32)
 
 
 class TestBlockDraws:
     @settings(max_examples=8, deadline=None)
     @given(restriction=restrictions, size=block_sizes, seed=seeds,
-           cut=st.sampled_from([1, 3]))
+           group=st.sampled_from([1, 3]))
     def test_a_block_equals_its_patterns_drawn_alone(self, restriction, size,
-                                                     seed, cut):
+                                                     seed, group):
         # mixed point counts within a block exercise the padding, the sort by
-        # count, and the group and sub-block boundaries; with _GROUP = 1 each
-        # pattern is placed alone
+        # count, and the group boundaries; with _GROUP = 1 each pattern is
+        # placed alone
         rng = RngStream(seed, 7)
         assert_same_draws(block_draw(restriction, rng, size),
-                          block_draw(restriction, rng, size, group=cut, block=cut))
+                          block_draw(restriction, rng, size, group=group))
+
+    @settings(max_examples=8, deadline=None)
+    @given(restriction=restrictions, size=block_sizes, seed=seeds,
+           window=st.sampled_from([1, 3]))
+    def test_a_block_does_not_depend_on_the_window(self, restriction, size,
+                                                   seed, window):
+        # a pattern accepts the first proposal, in chunk order, whose margin
+        # is positive, and margins only fall as points are placed; so how
+        # many proposals it featurizes at a time changes neither its points
+        # nor its proposal count
+        rng = RngStream(seed, 5)
+        assert_same_draws(block_draw(restriction, rng, size),
+                          block_draw(restriction, rng, size, window=window))
 
     @settings(max_examples=8, deadline=None)
     @given(restriction=restrictions, size=block_sizes, seed=seeds,
@@ -218,21 +232,21 @@ class TestGeometry:
         counts = [len(pts) for pts in sample_block(restriction, RngStream(0), 10)]
         active_sets = samplers._active_sets
 
-        def first_chunk_empty(restriction, rng, n):
-            for start, on, ms in active_sets(restriction, rng, n):
-                yield start, on & (start > 0), ms
+        def first_four_empty(restriction, rng, n):
+            on, ms = active_sets(restriction, rng, n)
+            on[:4] = False
+            return on, ms
 
-        # the first chunk of 4 places no point, so the stall is in the second,
-        # and names the pattern by its index in the whole block
-        monkeypatch.setattr(samplers, "_active_sets", first_chunk_empty)
-        monkeypatch.setattr(samplers, "_BLOCK", 4)
+        # the first 4 patterns place no point, so the stall is in a later
+        # one, and names the pattern by its index in the whole block
+        monkeypatch.setattr(samplers, "_active_sets", first_four_empty)
         monkeypatch.setattr(samplers, "STALL_CAP", -1)
         with pytest.raises(SamplerStallError) as exc:
             sample_block(restriction, RngStream(0), 10)
         diag = exc.value.diagnostics
         assert (diag["radius"], diag["beta"], diag["palm_shift"]) == (3.0, 0.5, True)
         assert diag["placed"] == 0 < diag["target_points"]
-        assert 4 <= diag["pattern"] < 8
+        assert 4 <= diag["pattern"] < 10
         assert diag["target_points"] == counts[diag["pattern"]]
 
     def test_stall_cap_counts_each_pattern_alone(self, monkeypatch):
