@@ -13,8 +13,7 @@ from .rates import (LdpRegime, ProofConstants, growth_function,
 from .samplers import (sample_block, sample_counts, sample_pattern,
                        sample_poisson)
 from .spectral import (DiskRestriction, count_distribution, eigenvalues,
-                       log_count_tail, minimized_chernoff_bound,
-                       pair_correlation, trace_bound)
+                       log_count_tail, pair_correlation, trace_bound)
 from .estimation import (SlopeReport, TailEstimate, dominating_event_probe,
                          estimate_interference_tail, speed_regression,
                          subexp_sum_ratio)

@@ -150,10 +150,6 @@ def cmd_estimate(args) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if len(cfg.plan.x_grid) < 3:
-        print("error: [estimation] x_grid: slope regression needs at least 3 "
-              "grid points", file=sys.stderr)
-        return 2
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     est_path = cfg.output_dir / "estimates.csv"
     slope_path = cfg.output_dir / "slope.csv"

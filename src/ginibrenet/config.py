@@ -11,7 +11,9 @@ Format: one ``key = value`` per line under ``[section]`` headers.  Sections:
                       beta_b, c, gamma); a kind ignores those it does not use
 * ``estimation``   -- estimator (crude | tilted | single_jump, the last the
                       Asmussen-Kroese conditional estimator, which has no
-                      threshold to set), n_reps, x_grid, seed (non-negative)
+                      threshold to set; ``estimation.ESTIMATORS`` names
+                      the fading kinds each takes), n_reps, x_grid (3 or
+                      more levels), seed (non-negative)
 * ``output``       -- directory
 
 Other keys and sections are not read.  The tail of I_Lambda depends on
@@ -30,7 +32,6 @@ from pathlib import Path
 from .estimation import ESTIMATORS
 from .fading import FADING_KINDS, FadingSpec
 from .interference import NetworkModel
-from .rates import LdpRegime
 
 
 class ConfigError(ValueError):
@@ -57,9 +58,13 @@ class EstimationPlan:
 @dataclass
 class ExperimentConfig:
     model: NetworkModel
-    regime: LdpRegime
     plan: EstimationPlan
     output_dir: Path
+
+    @property
+    def regime(self):
+        """The model's tail regime, against which the slope is fitted."""
+        return self.model.regime
 
 
 def _line_of(text: str, section: str, key: str | None = None) -> int | None:
@@ -174,6 +179,10 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
     estimator = rd.get("estimation", "estimator")
     if estimator not in ESTIMATORS:
         rd.fail("estimation", "estimator", f"unknown estimator {estimator!r}")
+    if fkind not in ESTIMATORS[estimator]:
+        rd.fail("estimation", "estimator",
+                f"{estimator} does not take {fkind} fading; it takes "
+                f"{ESTIMATORS[estimator]}")
     n_reps = rd.get_int("estimation", "n_reps")
     if n_reps <= 0:
         rd.fail("estimation", "n_reps", "must be positive")
@@ -182,6 +191,9 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
     x_grid = rd.get_floats("estimation", "x_grid")
     if any(b <= a for a, b in zip(x_grid, x_grid[1:])):
         rd.fail("estimation", "x_grid", "grid must be strictly increasing")
+    if len(x_grid) < 3:
+        rd.fail("estimation", "x_grid",
+                "slope regression needs at least 3 grid points")
     if seed_override is not None:
         seed = seed_override
     else:
@@ -191,6 +203,5 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
 
     plan = EstimationPlan(estimator=estimator, n_reps=n_reps, x_grid=x_grid,
                           seed=seed)
-    regime = LdpRegime(fading, model.atten_R, model.atten_alpha)
-    return ExperimentConfig(model=model, regime=regime, plan=plan,
+    return ExperimentConfig(model=model, plan=plan,
                             output_dir=Path(rd.get("output", "directory")))

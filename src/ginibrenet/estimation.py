@@ -45,15 +45,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceededError
-from .fading import FadingSpec, LIGHT_TAIL_KINDS, SUBEXPONENTIAL_KINDS
+from .fading import (FADING_KINDS, FadingSpec, LIGHT_TAIL_KINDS,
+                     SUBEXPONENTIAL_KINDS)
 from .interference import NetworkModel, _row_sum, attenuation
 from .patterns import RngStream
 from .rates import (LdpRegime, growth_function, limit_constant, proof_constants,
                     tail_asymptote)
 from .samplers import _cut_gamma, sample_block
-from .spectral import DiskRestriction, eigenvalues, trace_bound
+from .spectral import eigenvalues, trace_bound
 
-ESTIMATORS = ("crude", "tilted", "single_jump")
+# each estimator and the fading kinds it accepts: the tilt needs a finite
+# MGF, the single-jump values a subexponential or exponential tail
+ESTIMATORS = {"crude": FADING_KINDS, "tilted": LIGHT_TAIL_KINDS,
+              "single_jump": SUBEXPONENTIAL_KINDS + ("exponential",)}
 TILT_DOUBLINGS = 40  # steps of the tilt solve, each at most a doubling, before a bracket
 _BLOCK = 256  # replications drawn and evaluated together
 _ROOT_STEPS = 100  # cap on the steps of the tilt solve
@@ -119,9 +123,8 @@ def _radial_draw(model: NetworkModel):
     holds.
     """
     beta = model.beta
-    restriction = DiskRestriction(radius=model.radius, beta=beta, palm_shift=True)
-    present = eigenvalues(restriction)
-    rsq = restriction.scaled_radius_sq
+    present = eigenvalues(model.interferers)
+    rsq = model.interferers.scaled_radius_sq
     shapes = np.arange(2.0, len(present) + 2.0)
 
     def draw(gen: np.random.Generator, n: int) -> np.ndarray:
@@ -137,14 +140,12 @@ def _radial_draw(model: NetworkModel):
 def _dpp_draw(model: NetworkModel):
     """Distance draw for an off-centre receiver: per row, a reduced-Palm
     pattern from the projection sampler on the window itself."""
-    restriction = DiskRestriction(radius=model.radius, beta=model.beta, palm_shift=True)
-
     def draw(gen: np.random.Generator, n: int) -> np.ndarray:
         # one fresh RngStream per block, on a 63-bit child seed drawn from
         # the running stream
         child = RngStream(int(gen.integers(1 << 63)), 0)
         rows = [np.abs(model.receiver - pts)
-                for pts in sample_block(restriction, child, n)]
+                for pts in sample_block(model.interferers, child, n)]
         dist = np.full((n, max(map(len, rows))), np.inf)
         for out, row in zip(dist, rows):
             out[:len(row)] = row
@@ -363,13 +364,9 @@ def estimate_interference_tail(model: NetworkModel, x: float, n_reps: int,
         raise ValueError(f"unknown estimator {estimator!r}")
     if n_reps <= 0:
         raise ValueError("n_reps must be positive")
-    kind = model.fading.kind
-    if estimator == "tilted" and kind not in LIGHT_TAIL_KINDS:
-        raise ValueError(
-            f"tilted estimator needs a finite-MGF fading kind, got {kind!r}")
-    if estimator == "single_jump" and kind not in SUBEXPONENTIAL_KINDS + ("exponential",):
-        raise ValueError(
-            f"single_jump estimator needs subexponential or exponential fading, got {kind!r}")
+    if model.fading.kind not in ESTIMATORS[estimator]:
+        raise ValueError(f"the {estimator} estimator takes the fading kinds "
+                         f"{ESTIMATORS[estimator]}, not {model.fading.kind!r}")
 
     if estimator == "crude":
         evaluate = _crude(model, x)
@@ -406,8 +403,8 @@ def grid_estimates(model: NetworkModel, x_grid, n_reps: int, estimator: str,
 
 def fit_slope(regime: LdpRegime, x_grid, probabilities) -> SlopeReport:
     """Fit log p-hat(x) against the regime's growth function and compare the
-    slope to the predicted limit constant; zero estimates are dropped."""
-    x_grid = _increasing(x_grid)
+    slope to the predicted limit constant; zero estimates are dropped.
+    ``x_grid`` is strictly increasing (``load_config`` checks it)."""
     kept_x, log_p, gvals, dropped = [], [], [], []
     for x, p in zip(x_grid, probabilities):
         if p <= 0.0:
@@ -429,11 +426,12 @@ def fit_slope(regime: LdpRegime, x_grid, probabilities) -> SlopeReport:
                        relative_error=float(rel), dropped_points=dropped)
 
 
-def speed_regression(model: NetworkModel, regime: LdpRegime, x_grid,
-                     n_reps: int, estimator: str, rng: RngStream) -> SlopeReport:
-    """Estimate every grid point, then fit the slope (``fit_slope``)."""
+def speed_regression(model: NetworkModel, x_grid, n_reps: int, estimator: str,
+                     rng: RngStream) -> SlopeReport:
+    """Estimate every grid point, then fit the slope against the model's
+    regime (``fit_slope``)."""
     x_grid = _increasing(x_grid)
-    return fit_slope(regime, x_grid, [
+    return fit_slope(model.regime, x_grid, [
         est.probability
         for est in grid_estimates(model, x_grid, n_reps, estimator, rng)])
 
@@ -451,8 +449,7 @@ def subexp_sum_ratio(model: NetworkModel, x_grid, n_reps: int,
     x_grid = [float(v) for v in x_grid]
     jump = _single_jump(model.fading, x_grid, lambda d: np.isfinite(d).astype(float))
     rows = _replicate(model, n_reps, rng, jump)
-    e_n = trace_bound(DiskRestriction(radius=model.radius, beta=model.beta,
-                                      palm_shift=True))
+    e_n = trace_bound(model.interferers)
     if e_n <= 0:
         raise ValueError("expected in-window count is zero; empty window")
     return [float(np.mean(rows[:, k])) / (e_n * float(model.fading.survival(x)))
@@ -482,16 +479,15 @@ def dominating_event_probe(model: NetworkModel, x: float, eps: float,
     if gap < 0.02 * model.radius:
         raise ValueError("receiver too close to the window boundary for the probe ball")
     r = min(0.5 * gap, 0.99 * model.atten_R)
-    kind = model.fading.kind
+    kind, r_alpha = model.fading.kind, model.regime.r_alpha
     if kind == "bounded":  # n puts the per-mark threshold at 0.8 B
-        block_n = int(model.r_alpha * x / (0.8 * model.fading.bound * eps)) + 1
+        block_n = int(r_alpha * x / (0.8 * model.fading.bound * eps)) + 1
     elif kind == "weibull_super":
-        regime = LdpRegime(model.fading, model.atten_R, model.atten_alpha)
-        block_n = max(1, proof_constants(regime, x, eps).block_n)
+        block_n = max(1, proof_constants(model.regime, x, eps).block_n)
     else:
         block_n = 1
-    log_sf_block = float(model.fading.log_survival(model.r_alpha * x / (block_n * eps)))
-    log_sf_single = float(model.fading.log_survival(model.r_alpha * x / eps))
+    log_sf_block = float(model.fading.log_survival(r_alpha * x / (block_n * eps)))
+    log_sf_single = float(model.fading.log_survival(r_alpha * x / eps))
 
     def evaluate(dist, gen):
         gains = attenuation(dist, model.atten_R, model.atten_alpha)

@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .fading import FadingSpec
+from .rates import LdpRegime
+from .spectral import DiskRestriction
 
 
 @dataclass(frozen=True)
@@ -14,7 +17,8 @@ class NetworkModel:
 
     The transmitter at the origin contributes only the useful signal; the
     interferers are the reduced Palm points of the node process inside the
-    window b(0, radius).
+    window b(0, radius).  ``interferers`` and ``regime`` are built, and so
+    check beta, radius, R and alpha, at construction.
     """
 
     beta: float
@@ -25,21 +29,20 @@ class NetworkModel:
     fading: FadingSpec
 
     def __post_init__(self):
-        if not (0 < self.beta <= 1):
-            raise ValueError("beta must lie in (0, 1]")
-        if not self.atten_R > 0:
-            raise ValueError("attenuation distance R must be positive")
-        if not self.atten_alpha > 2:
-            raise ValueError("attenuation exponent alpha must exceed 2")
-        if not self.radius > 0:
-            raise ValueError("window radius must be positive")
-        if abs(self.receiver) >= self.radius:
+        _ = self.interferers, self.regime
+        if not abs(self.receiver) < self.radius:
             raise ValueError("receiver must lie in the interior of the window")
 
-    @property
-    def r_alpha(self) -> float:
-        """R^alpha, the scale constant of the attenuation plateau."""
-        return self.atten_R ** self.atten_alpha
+    @cached_property
+    def interferers(self) -> DiskRestriction:
+        """The window b(0, radius) under the reduced Palm kernel, thinned by
+        beta: by Kostlan's theorem, independent radial terms."""
+        return DiskRestriction(radius=self.radius, beta=self.beta, palm_shift=True)
+
+    @cached_property
+    def regime(self) -> LdpRegime:
+        """The tail regime set by the fading law and (R, alpha)."""
+        return LdpRegime(self.fading, self.atten_R, self.atten_alpha)
 
 
 def attenuation(x, R: float, alpha: float):

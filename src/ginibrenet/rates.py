@@ -37,8 +37,8 @@ class LdpRegime:
     atten_alpha: float
 
     def __post_init__(self):
-        if not (self.atten_R > 0 and self.atten_alpha > 2):
-            raise ValueError("attenuation requires R > 0 and alpha > 2")
+        if not (0 < self.atten_R < math.inf and 2 < self.atten_alpha < math.inf):
+            raise ValueError("attenuation requires finite R > 0 and alpha > 2")
 
     @property
     def kind(self) -> str:

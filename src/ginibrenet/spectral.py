@@ -15,13 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import special
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .interference import NetworkModel
 
 DEFAULT_TOL = 1e-12
 # Poisson tails decay superexponentially past the mean; this cap is never the
@@ -32,9 +28,6 @@ _HARD_CAP_OFFSET = 64
 # log-eigenvalue level below which gammainc has lost its precision
 _TAIL_MARGIN = 64
 _LOG_UNDERFLOW = math.log(1e-290)
-# tilts over which minimized_chernoff_bound searches: log-spaced and wide
-# enough that the optimum is interior for moderate tail levels
-_THETA_GRID = np.geomspace(1e-2, 1e3, 300)
 
 
 @dataclass(frozen=True)
@@ -168,35 +161,3 @@ def log_count_tail(restriction: DiskRestriction, m: int) -> float:
 def pair_correlation(x1: complex, x2: complex) -> float:
     """Ginibre pair correlation 1 - exp(-|x1 - x2|^2); at most 1 (repulsion)."""
     return float(-np.expm1(-abs(complex(x1) - complex(x2)) ** 2))
-
-
-def _log_chernoff(model: "NetworkModel", x: float,
-                  thetas: np.ndarray) -> np.ndarray:
-    """log of the Chernoff bound on P(I_Lambda >= x), per mark tilt.
-
-    Uses the window b(0, r), its thinned eigenvalue sequence, and
-    -theta x + sum_m log(1 + (M - 1) kappa_m), with M the fading MGF at
-    theta * R^(-alpha).
-    """
-    vals = eigenvalues(DiskRestriction(radius=model.radius, beta=model.beta))
-    log_m = model.fading.log_mgf(thetas * model.atten_R ** (-model.atten_alpha))
-    with np.errstate(divide="ignore"):
-        log_terms = np.logaddexp(np.log1p(-vals), np.log(vals) + log_m[:, None])
-    return -thetas * x + log_terms.sum(axis=1)
-
-
-def minimized_chernoff_bound(model: "NetworkModel", x: float) -> tuple[float, float]:
-    """Minimum of the Chernoff bound over the grid of positive tilts at which
-    the mark MGF is finite, evaluated in one call.
-
-    Returns (bound, minimizing theta); theta is 0 when no tilt on the grid
-    brings the bound below 1.
-    """
-    mark_tilts = _THETA_GRID * model.atten_R ** (-model.atten_alpha)
-    thetas = _THETA_GRID[mark_tilts < model.fading.mgf_abscissa]
-    if len(thetas) == 0:
-        return 1.0, 0.0
-    log_bounds = _log_chernoff(model, x, thetas)
-    best = int(np.argmin(log_bounds))
-    bound = float(np.exp(min(log_bounds[best], 0.0)))
-    return (bound, float(thetas[best])) if bound < 1.0 else (1.0, 0.0)

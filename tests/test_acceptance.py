@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from ginibrenet import validate
+from ginibrenet.fading import FadingSpec
 
 
 def _run(check, limit_seconds):
@@ -96,6 +97,16 @@ def test_08_subexp_single_jump():
 def test_09_chernoff_dominance():
     # minimized spectral bound dominates crude + 3 stderr; < 5 min
     _run(validate.check_chernoff_dominance, 300.0)
+
+
+def test_chernoff_bound_at_the_check_levels():
+    # the bound chernoff_dominance compares with, pinned: it is 1 at x = 2.5
+    # and 3.5, where the check therefore cannot fail
+    model = validate._model(FadingSpec(kind="weibull_super", c=1.0, gamma=2.0))
+    bounds, thetas = zip(*(validate._chernoff_bound(model, x)
+                           for x in (2.5, 3.5, 4.5)))
+    assert bounds == pytest.approx((1.0, 1.0, 0.786), abs=5e-4)
+    assert thetas == pytest.approx((0.0, 0.0, 0.489), abs=5e-4)
 
 
 def test_10_rate_table():

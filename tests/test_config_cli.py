@@ -11,7 +11,10 @@ import pytest
 from ginibrenet import samplers
 from ginibrenet.cli import main
 from ginibrenet.config import ConfigError, load_config
-from ginibrenet.patterns import read_pattern_csv
+from ginibrenet.estimation import estimate_interference_tail
+from ginibrenet.fading import FADING_KINDS, FadingSpec
+from ginibrenet.interference import NetworkModel
+from ginibrenet.patterns import RngStream, read_pattern_csv
 
 GOOD_CONFIG = """\
 [process]
@@ -72,6 +75,35 @@ class TestConfig:
         p = tmp_path / "bad.ini"
         p.write_text(GOOD_CONFIG.replace("estimator = tilted", "estimator = mlmc"))
         with pytest.raises(ConfigError, match="estimator"):
+            load_config(p)
+
+    @pytest.mark.parametrize("estimator", ["crude", "tilted", "single_jump"])
+    def test_load_refuses_what_the_estimator_refuses(self, tmp_path, estimator):
+        # one table decides both; load_config names the estimator's line
+        for kind in FADING_KINDS:
+            gamma = {"weibull_super": 2.0, "weibull_sub": 0.5}.get(kind, 0.0)
+            p = tmp_path / f"{kind}.ini"
+            text = (GOOD_CONFIG.replace("estimator = tilted", f"estimator = {estimator}")
+                    .replace("c = 1.0", f"c = 1.0\ngamma = {gamma}")
+                    .replace("kind = exponential", f"kind = {kind}"))
+            p.write_text(text)
+            line = text.splitlines().index(f"estimator = {estimator}") + 1
+            model = NetworkModel(beta=1.0, radius=2.0, receiver=0j, atten_R=1.0,
+                                 atten_alpha=4.0, fading=FadingSpec(kind=kind, gamma=gamma))
+            try:
+                estimate_interference_tail(model, 1.0, 2, estimator, RngStream(0))
+            except ValueError:
+                with pytest.raises(ConfigError, match=rf"{kind}\.ini:{line}: \[estimation\] "
+                                                      rf"estimator: {estimator} does not take"):
+                    load_config(p)
+            else:
+                assert load_config(p).model == model
+
+    def test_short_grid_is_line_anchored(self, tmp_path):
+        p = tmp_path / "bad.ini"
+        p.write_text(GOOD_CONFIG.replace("3.0, 4.0, 5.0", "3.0, 4.0"))
+        with pytest.raises(ConfigError,
+                           match=r"bad\.ini:21: \[estimation\] x_grid: .*at least 3"):
             load_config(p)
 
     def test_beta_ginibre_kind_refused(self, tmp_path):
@@ -227,6 +259,12 @@ class TestCliRates:
         assert code == 2
         assert "x > 1" in capsys.readouterr().err
 
+    def test_infinite_attenuation_distance_exit_2(self, capsys):
+        code = main(["rates", "--fading", "exponential", "--atten-R", "inf"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite R" in captured.err
+
     def test_compare_poisson_insensitive_regime(self, capsys):
         code = main(["rates", "--fading", "exponential", "--c", "1",
                      "--compare-poisson"])
@@ -289,6 +327,22 @@ class TestCliEstimate:
         cfg = tmp_path / "short.ini"
         cfg.write_text(GOOD_CONFIG.replace("3.0, 4.0, 5.0", "3.0"))
         assert main(["estimate", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("kind = exponential\nc = 1.0", "kind = pareto\nc = 2.0",
+         r"\[estimation\] estimator: tilted does not take pareto"),
+        ("radius = 2.0", "radius = inf", "radius must be positive and finite"),
+        ("R = 1.0", "R = inf", "finite R"),
+    ], ids=["tilted-pareto", "radius-inf", "R-inf"])
+    def test_refused_scenario_exit_2_before_any_output(self, tmp_path, capsys,
+                                                       old, new, message):
+        # usage errors: refused at load, so no output directory is made
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(GOOD_CONFIG.replace(old, new)
+                       + f"\n[output]\ndirectory = {tmp_path}/out\n")
+        assert main(["estimate", "--config", str(cfg)]) == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_sampler_stall_reports_diagnostics(self, tmp_path, monkeypatch, capsys):
         # an off-centre receiver draws DPP patterns; with no proposal budget

@@ -18,7 +18,7 @@ from ginibrenet.estimation import (TILT_DOUBLINGS, TailEstimate, _jump_values,
 from ginibrenet.fading import FadingSpec
 from ginibrenet.interference import NetworkModel, _row_sum
 from ginibrenet.patterns import RngStream
-from ginibrenet.rates import LdpRegime
+from ginibrenet.rates import limit_constant
 from ginibrenet.samplers import sample_block
 from ginibrenet.spectral import DiskRestriction, log_count_tail, trace_bound
 
@@ -314,26 +314,34 @@ class TestSolveCaps:
 class TestSpeedRegression:
     def test_degenerate_grid_rejected(self):
         m = model()
-        regime = LdpRegime(m.fading, m.atten_R, m.atten_alpha)
         with pytest.raises(ValueError):
-            speed_regression(m, regime, [2.0, 3.0], 100, "crude", RngStream(0))
+            speed_regression(m, [2.0, 3.0], 100, "crude", RngStream(0))
         with pytest.raises(ValueError, match="increasing"):
-            speed_regression(m, regime, [3.0, 2.0, 4.0], 100, "crude", RngStream(0))
+            speed_regression(m, [3.0, 2.0, 4.0], 100, "crude", RngStream(0))
 
     def test_zero_hit_points_dropped(self):
         m = model()
-        regime = LdpRegime(m.fading, m.atten_R, m.atten_alpha)
-        report = speed_regression(m, regime, [2.0, 3.0, 4.0, 300.0], 800,
-                                  "crude", RngStream(80))
+        report = speed_regression(m, [2.0, 3.0, 4.0, 300.0], 800, "crude",
+                                  RngStream(80))
         assert 300.0 in report.dropped_points
         assert len(report.x_grid) == 3
 
     def test_all_points_dead_is_error(self):
         m = model()
-        regime = LdpRegime(m.fading, m.atten_R, m.atten_alpha)
         with pytest.raises(ValueError, match="at least 3"):
-            speed_regression(m, regime, [200.0, 300.0, 400.0], 50, "crude",
-                             RngStream(81))
+            speed_regression(m, [200.0, 300.0, 400.0], 50, "crude", RngStream(81))
+
+    @pytest.mark.parametrize("kind, fkw, R, grid", [
+        ("exponential", {"c": 2.0}, 1.5, [0.5, 1.0, 1.5]),
+        ("pareto", {"c": 2.0}, 1.0, [2.0, 5.0, 10.0]),
+    ], ids=["exponential", "pareto"])
+    def test_target_is_the_model_regime_limit(self, kind, fkw, R, grid):
+        # the slope's target comes from the model itself, so it cannot be
+        # that of another fading or attenuation
+        m = NetworkModel(beta=1.0, radius=2.0, receiver=0j, atten_R=R,
+                         atten_alpha=3.0, fading=FadingSpec(kind=kind, **fkw))
+        report = speed_regression(m, grid, 400, "single_jump", RngStream(82))
+        assert report.target_slope == limit_constant(m.regime)
 
 
 class TestSubexpRatio:

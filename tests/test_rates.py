@@ -29,6 +29,12 @@ class TestRegimeConstruction:
         with pytest.raises(ValueError):
             LdpRegime(FadingSpec(kind="exponential", c=1.0), 1.0, 2.0)
 
+    @pytest.mark.parametrize("R, alpha", [(math.inf, 3.0), (math.nan, 3.0),
+                                          (1.0, math.inf), (1.0, math.nan)])
+    def test_non_finite_attenuation_refused(self, R, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            LdpRegime(FadingSpec(kind="exponential", c=1.0), R, alpha)
+
 
 class TestRateValues:
     def test_bounded_hand_value(self):
