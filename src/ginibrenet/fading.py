@@ -46,15 +46,15 @@ class FadingSpec:
         if self.kind not in FADING_KINDS:
             raise ValueError(f"unknown fading kind {self.kind!r}")
         if self.kind == "bounded":
-            if not (self.bound > 0):
-                raise ValueError("bounded fading requires supremum B > 0")
-            if not (self.beta_a > 0 and self.beta_b > 0):
-                raise ValueError("Beta shape parameters must be positive")
+            if not (0 < self.bound < math.inf):
+                raise ValueError("bounded fading requires a finite supremum B > 0")
+            if not (0 < self.beta_a < math.inf and 0 < self.beta_b < math.inf):
+                raise ValueError("Beta shape parameters must be finite and positive")
         else:
-            if not (self.c > 0):
-                raise ValueError("fading decay constant c must be positive")
-        if self.kind == "weibull_super" and not self.gamma > 1:
-            raise ValueError("weibull_super requires gamma > 1")
+            if not (0 < self.c < math.inf):
+                raise ValueError("fading decay constant c must be finite and positive")
+        if self.kind == "weibull_super" and not 1 < self.gamma < math.inf:
+            raise ValueError("weibull_super requires a finite gamma > 1")
         if self.kind == "weibull_sub" and not 0 < self.gamma < 1:
             raise ValueError("weibull_sub requires gamma in (0, 1)")
 
@@ -127,19 +127,13 @@ class FadingSpec:
             raise ValueError("sample size must be nonnegative")
         if self.kind == "bounded":
             return self.bound * rng.beta(self.beta_a, self.beta_b, size=n)
-        u = rng.random(n)
-        return self._inverse_survival_of_one_minus(u)
-
-    def _inverse_survival_of_one_minus(self, u: np.ndarray) -> np.ndarray:
-        # Maps uniforms through F^{-1}(u): survival(z) = 1 - u.
-        e = -np.log1p(-u)  # Exp(1)
+        # inverse CDF: e = -log(1 - u) is Exp(1), and z solves survival(z) = exp(-e)
+        e = -np.log1p(-rng.random(n))
         if self.kind == "exponential":
             return e / self.c
-        if self.kind in ("weibull_super", "weibull_sub"):
-            return (e / self.c) ** (1.0 / self.gamma)
         if self.kind == "pareto":
             return np.expm1(e / self.c)
-        raise ValueError(f"inverse-CDF sampling unsupported for {self.kind}")
+        return (e / self.c) ** (1.0 / self.gamma)  # the Weibull kinds
 
     # -- moment generating function ---------------------------------------
     # The transforms map an array of tilts elementwise; a scalar gives a float.

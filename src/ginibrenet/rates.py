@@ -1,15 +1,20 @@
 """Closed-form rate functions, speeds, tail asymptotes and proof constants.
 
-Four regimes, driven by the fading family:
+Each regime is one large-deviation principle, P(eps I in A) ~
+exp(-v(eps) inf_A rate), with a good rate function and a speed v.  The speed
+is the growth function at 1/eps, v(eps) = growth(1/eps), so eps = 1/x gives
+log P(I >= x) ~ -rate(1) growth(x): the limit constant is -rate(1), negative
+in every regime.  Four regimes, driven by the fading family:
 
 ========================  =======================================================
-bounded                   speed (1/e^2) log(1/e),     rate R^(2a) x^2 / (2 B^2)
-weibull_super (g > 1)     speed e^(-2g/(g+1)) log^((g-1)/(g+1))(1/e), rate below
-exponential               speed 1/e,                  rate c R^a x
-subexp_family (g >= 0)    speed -log Fbar(1/e),       rate R^(a g) x^g (0 at 0)
+bounded                   growth x^2 log x,           rate R^(2a) x^2 / (2 B^2)
+weibull_super (g > 1)     growth x^(2g/(g+1)) log^((g-1)/(g+1)) x, rate below
+exponential               growth x,                   rate c R^a x
+subexp_family (g >= 0)    growth -log Fbar(x),        rate R^(a g) x^g (0 at 0)
 ========================  =======================================================
 
-The Weibull rate constant is
+The subexponential exponent g is gamma for ``weibull_sub`` and 0 for
+``pareto``.  The Weibull rate constant is
 (1/2) R^(2ag/(g+1)) (g/(g-1))^((g-1)/(g+1)) (c(g+1))^(2/(g+1)).
 """
 from __future__ import annotations
@@ -17,15 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fading import FadingSpec
-
-_KIND_FOR_FADING = {
-    "bounded": "bounded",
-    "weibull_super": "weibull_super",
-    "exponential": "exponential",
-    "weibull_sub": "subexp_family",
-    "pareto": "subexp_family",
-}
+from .fading import SUBEXPONENTIAL_KINDS, FadingSpec
 
 
 @dataclass(frozen=True)
@@ -43,18 +40,12 @@ class LdpRegime:
     @property
     def kind(self) -> str:
         """bounded, weibull_super, exponential or subexp_family, by fading kind."""
-        return _KIND_FOR_FADING[self.fading.kind]
+        kind = self.fading.kind
+        return "subexp_family" if kind in SUBEXPONENTIAL_KINDS else kind
 
     @property
     def r_alpha(self) -> float:
         return self.atten_R ** self.atten_alpha
-
-    @property
-    def subexp_exponent(self) -> float:
-        """The log-survival scaling exponent: gamma for Weibull kinds, 0 for Pareto."""
-        if self.fading.kind == "pareto":
-            return 0.0
-        return self.fading.gamma
 
 
 def weibull_rate_constant(c: float, gamma: float, r_alpha: float) -> float:
@@ -77,31 +68,25 @@ def rate(regime: LdpRegime, x: float) -> float:
         return weibull_rate_constant(f.c, g, regime.r_alpha) * x ** (2.0 * g / (g + 1.0))
     if regime.kind == "exponential":
         return f.c * regime.r_alpha * x
-    # subexp_family: 0 at the origin, R^(alpha gamma) x^gamma beyond
+    # subexp_family: 0 at the origin, R^(alpha g) x^g beyond
     if x == 0:
         return 0.0
-    g = regime.subexp_exponent
+    g = 0.0 if f.kind == "pareto" else f.gamma
     return regime.r_alpha ** g * x ** g
 
 
 def speed(regime: LdpRegime, eps: float) -> float:
-    """Divergence scale v(eps) of the LDP; decreasing in eps on (0, 1)."""
+    """Divergence scale v(eps) = growth_function(1/eps) of the LDP; decreasing
+    in eps on (0, 1)."""
     if not (0 < eps < 1):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    log_inv = math.log(1.0 / eps)
-    if regime.kind == "bounded":
-        return log_inv / eps ** 2
-    if regime.kind == "weibull_super":
-        g = regime.fading.gamma
-        return eps ** (-2.0 * g / (g + 1.0)) * log_inv ** ((g - 1.0) / (g + 1.0))
-    if regime.kind == "exponential":
-        return 1.0 / eps
-    return -float(regime.fading.log_survival(1.0 / eps))
+    return growth_function(regime, 1.0 / eps)
 
 
 def growth_function(regime: LdpRegime, x: float) -> float:
-    """Leading-order growth of log P(I >= x) against which slopes are fitted;
-    the bounded and weibull_super ones carry log x, so they need x > 1."""
+    """Leading-order growth of -log P(I >= x), against which slopes are
+    fitted; positive and increasing for x > 1.  The bounded and weibull_super
+    ones carry log x, so they need x > 1."""
     if regime.kind in ("bounded", "weibull_super") and not x > 1:
         raise ValueError(f"the {regime.kind} growth function needs x > 1, got {x}")
     if regime.kind == "bounded":
@@ -111,19 +96,12 @@ def growth_function(regime: LdpRegime, x: float) -> float:
         return x ** (2.0 * g / (g + 1.0)) * math.log(x) ** ((g - 1.0) / (g + 1.0))
     if regime.kind == "exponential":
         return x
-    return float(regime.fading.log_survival(x))
+    return -float(regime.fading.log_survival(x))
 
 
 def limit_constant(regime: LdpRegime) -> float:
-    """The limit of log P(I_Lambda >= x) / growth_function(regime, x)."""
-    f = regime.fading
-    if regime.kind == "bounded":
-        return -0.5 * regime.r_alpha ** 2 / f.bound ** 2
-    if regime.kind == "weibull_super":
-        return -weibull_rate_constant(f.c, f.gamma, regime.r_alpha)
-    if regime.kind == "exponential":
-        return -f.c * regime.r_alpha
-    return regime.r_alpha ** regime.subexp_exponent
+    """The limit of log P(I_Lambda >= x) / growth_function(regime, x): -rate(1)."""
+    return -rate(regime, 1.0)
 
 
 def tail_asymptote(regime: LdpRegime, x: float) -> float:

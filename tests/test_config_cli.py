@@ -265,6 +265,20 @@ class TestCliRates:
         captured = capsys.readouterr()
         assert captured.out == "" and "finite R" in captured.err
 
+    @pytest.mark.parametrize("fading", [
+        ["exponential", "--c", "inf"],
+        ["weibull_super", "--gamma", "inf"],
+        ["weibull_super", "--gamma", "2", "--c", "inf"],
+        ["bounded", "--bound", "inf", "--x", "2"],
+    ], ids=["exponential-c", "weibull_super-gamma", "weibull_super-c", "bounded-bound"])
+    def test_non_finite_fading_parameter_exit_2(self, tmp_path, capsys, fading):
+        out = tmp_path / "rates.txt"
+        code = main(["rates", "--fading", *fading, "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
+        assert not out.exists()
+
     def test_compare_poisson_insensitive_regime(self, capsys):
         code = main(["rates", "--fading", "exponential", "--c", "1",
                      "--compare-poisson"])
@@ -333,7 +347,8 @@ class TestCliEstimate:
          r"\[estimation\] estimator: tilted does not take pareto"),
         ("radius = 2.0", "radius = inf", "radius must be positive and finite"),
         ("R = 1.0", "R = inf", "finite R"),
-    ], ids=["tilted-pareto", "radius-inf", "R-inf"])
+        ("c = 1.0", "c = inf", r"\[fading\]: fading decay constant c must be finite"),
+    ], ids=["tilted-pareto", "radius-inf", "R-inf", "c-inf"])
     def test_refused_scenario_exit_2_before_any_output(self, tmp_path, capsys,
                                                        old, new, message):
         # usage errors: refused at load, so no output directory is made

@@ -89,6 +89,16 @@ WEIBULL_NEAR_ONE = {
 }
 
 
+# the parameters each fading kind reads, at valid values
+PARAMETERS_READ = {
+    "bounded": {"bound": 2.0, "beta_a": 2.0, "beta_b": 3.0},
+    "weibull_super": {"c": 1.5, "gamma": 2.0},
+    "exponential": {"c": 1.5},
+    "weibull_sub": {"c": 1.5, "gamma": 0.5},
+    "pareto": {"c": 1.5},
+}
+
+
 class TestValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -107,6 +117,19 @@ class TestValidation:
             FadingSpec(kind="exponential", c=0.0)
         with pytest.raises(ValueError):
             FadingSpec(kind="bounded", bound=-1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("kind, param", [
+        (kind, param) for kind, reads in PARAMETERS_READ.items() for param in reads])
+    def test_non_finite_parameters_refused(self, kind, param, value):
+        with pytest.raises(ValueError):
+            FadingSpec(kind=kind, **{**PARAMETERS_READ[kind], param: value})
+
+    @pytest.mark.parametrize("kind", fading.FADING_KINDS)
+    def test_unread_parameters_ignored(self, kind):
+        unread = {name: math.inf for name in ("bound", "beta_a", "beta_b", "c", "gamma")
+                  if name not in PARAMETERS_READ[kind]}
+        FadingSpec(kind=kind, **PARAMETERS_READ[kind], **unread)
 
 
 class TestSurvival:

@@ -70,6 +70,36 @@ class TestRateValues:
             assert rate(r, hi) >= rate(r, lo) - 1e-12
 
 
+# every fading kind over its parameter range, under an attenuation pair
+FADINGS = st.one_of(
+    st.builds(FadingSpec, kind=st.just("bounded"), bound=st.floats(0.1, 10.0),
+              beta_a=st.floats(0.5, 5.0), beta_b=st.floats(0.5, 5.0)),
+    st.builds(FadingSpec, kind=st.just("weibull_super"), c=st.floats(0.1, 10.0),
+              gamma=st.floats(1.001, 5.0)),
+    st.builds(FadingSpec, kind=st.just("exponential"), c=st.floats(0.1, 10.0)),
+    st.builds(FadingSpec, kind=st.just("weibull_sub"), c=st.floats(0.1, 10.0),
+              gamma=st.floats(0.01, 0.99)),
+    st.builds(FadingSpec, kind=st.just("pareto"), c=st.floats(0.1, 10.0)),
+)
+REGIMES = st.builds(LdpRegime, FADINGS, st.floats(0.5, 2.0), st.floats(2.01, 6.0))
+
+
+class TestOneLdpPerRegime:
+    """log P(I >= x) ~ -speed(1/x) rate(1): the speed is the growth function
+    at 1/eps and the limit constant is -rate(1), negative in every regime."""
+
+    @given(r=REGIMES, eps=st.floats(1e-9, 1.0, exclude_max=True),
+           x1=st.floats(1.0, 1e9, exclude_min=True),
+           x2=st.floats(1.0, 1e9, exclude_min=True))
+    @settings(max_examples=300, deadline=None)
+    def test_speed_and_constant_from_growth_and_rate(self, r, eps, x1, x2):
+        assert limit_constant(r) == -rate(r, 1.0)
+        assert limit_constant(r) < 0
+        assert speed(r, eps) == growth_function(r, 1.0 / eps)
+        lo, hi = sorted((x1, x2))
+        assert 0 < growth_function(r, lo) <= growth_function(r, hi)
+
+
 class TestSpeedValues:
     def test_bounded(self):
         r = regime("bounded", bound=1.0)
